@@ -12,10 +12,22 @@ def distance_matrix(trace: CaTrace) -> np.ndarray:
 
     The result is symmetric with a zero diagonal and is invariant under
     rigid motion of the input coordinates.
+
+    The squared differences along x, y and z are added into one n x n
+    buffer in that order, the same ((dx^2 + dy^2) + dz^2) sum an
+    (n, n, 3) difference array would give, and the square root is taken
+    in place; besides the result, only one n x n temporary is live.
     """
     coords = trace.coords
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    n = len(coords)
+    out = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for axis in range(3):
+        col = coords[:, axis]
+        np.subtract(col[:, None], col[None, :], out=diff)
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
 
 
 def to_gray(dist: np.ndarray) -> np.ndarray:

@@ -166,11 +166,12 @@ def extract_features(
     """
     gray = to_gray(distance_matrix(trace))
     img = normalize_size(gray, image_size)
-    # A distance-matrix image is symmetric, and resampling with identical
-    # row/column weights keeps it so in exact arithmetic; restore the
-    # symmetry the floating-point matmul loses.  Diagonal pixels then keep
-    # gx == gy exactly, so their 45/225-degree orientations quantize
-    # identically for rigidly moved copies of the same structure.
+    # A distance-matrix image is symmetric, and resampling with one weight
+    # matrix shared by rows and columns keeps it so in exact arithmetic;
+    # restore the symmetry the floating-point matmul loses.  Diagonal
+    # pixels then keep gx == gy exactly, so their 45/225-degree
+    # orientations quantize identically for rigidly moved copies of the
+    # same structure.
     img = (img + img.T) / 2.0
     field = gradient_field(img)
     co = comograd(quantize_orientations(field, comograd_bins))

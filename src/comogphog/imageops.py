@@ -44,21 +44,27 @@ def _resample_weights(n_src: int, n_dst: int) -> np.ndarray:
     s = (i + 0.5) * n_src / n_dst - 0.5, so equal sizes give an exact
     identity.  The four taps around s are clipped into range, which
     replicates edge samples.
+
+    All rows are built at once: taps k = -1, 0, 1, 2 are added to the
+    matrix one after another, so an edge column that several clipped taps
+    land on accumulates them in the same order as a per-row ``np.add.at``
+    would, and the matrix is the same bit for bit.
     """
     w = np.zeros((n_dst, n_src))
-    scale = n_src / n_dst
-    for i in range(n_dst):
-        s = (i + 0.5) * scale - 0.5
-        i0 = int(np.floor(s))
-        t = s - i0
-        taps = np.arange(i0 - 1, i0 + 3)
-        weights = cubic_kernel(t - (taps - i0))
-        np.add.at(w[i], np.clip(taps, 0, n_src - 1), weights)
+    rows = np.arange(n_dst)
+    s = (rows + 0.5) * (n_src / n_dst) - 0.5
+    i0 = np.floor(s).astype(np.intp)
+    t = s - i0
+    for k in (-1, 0, 1, 2):
+        w[rows, np.clip(i0 + k, 0, n_src - 1)] += cubic_kernel(t - k)
     return w
 
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int, clamp: bool = True) -> np.ndarray:
     """Separable cubic-convolution resampling (a = -0.5) with replicated edges.
+
+    A square input resized to a square output uses one weight matrix for
+    both rows and columns.
 
     Parameters
     ----------
@@ -75,10 +81,13 @@ def bicubic_resize(img: np.ndarray, out_h: int, out_w: int, clamp: bool = True) 
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be >= 1")
     wr = _resample_weights(img.shape[0], out_h)
-    wc = _resample_weights(img.shape[1], out_w)
+    if (img.shape[1], out_w) == (img.shape[0], out_h):
+        wc = wr
+    else:
+        wc = _resample_weights(img.shape[1], out_w)
     out = wr @ img @ wc.T
     if clamp:
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
     return out
 
 

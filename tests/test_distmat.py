@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,35 @@ def test_matches_double_loop_oracle():
                 + (coords[i, 2] - coords[j, 2]) ** 2
             )
             assert d[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def distance_matrix_3d(coords):
+    """Distances through one (n, n, 3) difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 300])
+def test_matches_difference_array_bytes(n):
+    coords = np.random.default_rng(n).uniform(-80, 80, size=(n, 3))
+    # distance_matrix reads only .coords; a plain namespace admits n = 1,
+    # which CaTrace itself rejects
+    got = distance_matrix(SimpleNamespace(coords=coords))
+    assert got.tobytes() == distance_matrix_3d(coords).tobytes()
+
+
+def test_peak_memory_n1000():
+    n = 1000
+    trace = random_walk_trace(n, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        d = distance_matrix(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (n, n)
+    assert peak <= 3.5 * n * n * 8
 
 
 @given(st.integers(0, 2**32 - 1))

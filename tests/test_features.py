@@ -17,7 +17,8 @@ from comogphog.features import (
 from comogphog.imageops import GradientField, gradient_field
 from comogphog.synthetic import helix_trace, random_rotation, random_walk_trace, transform
 
-GOLDEN = Path(__file__).parent / "data" / "golden_helix10.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_helix10.json"
 
 
 def field_from(orientation, magnitude=None):
@@ -226,4 +227,17 @@ def test_extract_matches_golden_helix():
     assert fv.id == "helix10"
     golden = np.array([float(v) for v in data["values"]])
     assert golden.shape == fv.values.shape
+    assert np.abs(fv.values - golden).max() <= 1e-9
+
+
+# Descriptors of random walks at 200 and 1000 residues, which take the
+# bicubic-to-next-power-of-two then Haar path; written with "%.17g" from
+# extract_features before the resample weights were vectorised.
+@pytest.mark.parametrize("n", [200, 1000])
+def test_extract_matches_golden_walk(n):
+    data = json.loads((DATA / f"golden_walk{n}.json").read_text())
+    fv = extract_features(random_walk_trace(n, f"walk{n}", seed=n))
+    assert fv.id == data["id"] == f"walk{n}"
+    golden = np.array([float(v) for v in data["values"]])
+    assert golden.shape == fv.values.shape == (data["length"],)
     assert np.abs(fv.values - golden).max() <= 1e-9

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from comogphog.imageops import (
     OddDimensionError,
+    _resample_weights,
     bicubic_resize,
     cubic_kernel,
     gradient_field,
@@ -46,6 +48,20 @@ def resize_scalar(img, out_h, out_w):
                     acc += wy * wx * img[ry, rx]
             out[i, j] = acc
     return out
+
+
+def resample_weights_loop(n_src, n_dst):
+    """Row-by-row weights with one np.add.at per output row (the reference)."""
+    w = np.zeros((n_dst, n_src))
+    scale = n_src / n_dst
+    for i in range(n_dst):
+        s = (i + 0.5) * scale - 0.5
+        i0 = int(np.floor(s))
+        t = s - i0
+        taps = np.arange(i0 - 1, i0 + 3)
+        weights = cubic_kernel(t - (taps - i0))
+        np.add.at(w[i], np.clip(taps, 0, n_src - 1), weights)
+    return w
 
 
 def test_kernel_shape():
@@ -102,6 +118,59 @@ def test_resize_commutes_with_scaling_before_clamp(k):
     a = bicubic_resize(k * img, 9, 6, clamp=False)
     b = k * bicubic_resize(img, 9, 6, clamp=False)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n_src,n_dst",
+    [
+        (37, 128),  # upsampling, the domain-length path
+        (150, 256),  # upsampling to the next power of two
+        (600, 1024),
+        (200, 7),  # downsampling
+        (3, 2),
+        (5, 5),  # equal sizes: identity
+        (128, 128),
+        # one source sample: all four taps clip onto column 0, and the order
+        # in which they are added shows in the low bits
+        (1, 9),
+        (1, 1),
+        (4, 1),  # one output sample
+        (6, 24),  # first and last rows fold out-of-range taps onto edge columns
+        (2, 9),  # every row clips at both edges
+    ],
+)
+def test_resample_weights_match_row_loop_bytes(n_src, n_dst):
+    got = _resample_weights(n_src, n_dst)
+    want = resample_weights_loop(n_src, n_dst)
+    assert got.shape == want.shape == (n_dst, n_src)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "in_shape,out_shape",
+    [((5, 9), (7, 3)), ((6, 6), (4, 9)), ((4, 7), (8, 8)), ((6, 6), (11, 11))],
+)
+def test_resize_equals_explicit_row_and_column_weights(in_shape, out_shape):
+    img = np.random.default_rng(12).random(in_shape)
+    wr = resample_weights_loop(in_shape[0], out_shape[0])
+    wc = resample_weights_loop(in_shape[1], out_shape[1])
+    want = wr @ img @ wc.T
+    assert bicubic_resize(img, *out_shape, clamp=False).tobytes() == want.tobytes()
+    assert bicubic_resize(img, *out_shape).tobytes() == np.clip(want, 0.0, 1.0).tobytes()
+
+
+def test_resize_peak_memory_600_to_1024():
+    p = 1024
+    img = np.random.default_rng(6).random((600, 600))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = bicubic_resize(img, p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (p, p)
+    assert peak <= 2.5 * p * p * 8
 
 
 def test_haar_single_block():
