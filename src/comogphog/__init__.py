@@ -10,6 +10,7 @@ two structures is a single Euclidean distance, independent of their sizes.
 from .distmat import distance_matrix, to_gray, write_pgm
 from .evalstats import (
     ConfusionCounts,
+    PairScores,
     Polarity,
     ScoredPair,
     auc,
@@ -67,6 +68,7 @@ __all__ = [
     "FeatureStore",
     "FeatureVector",
     "GradientField",
+    "PairScores",
     "Polarity",
     "QuantizedOrientations",
     "ScopLabel",

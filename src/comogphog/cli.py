@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import evalstats, featuredb
 from .evalstats import Polarity
 from .features import FEATURE_LENGTH, PHOG_LENGTH, extract_features, phog_cells
@@ -195,6 +197,9 @@ def cmd_evaluate(args) -> int:
     if eval_bins < 2:
         print(f"error: --eval-bins must be >= 2, got {eval_bins}", file=sys.stderr)
         return 2
+    if args.sample is not None and args.sample < 1:
+        print(f"error: --sample must be >= 1, got {args.sample}", file=sys.stderr)
+        return 2
     try:
         labels = _read_labels(args.labels)
     except (OSError, ValueError) as exc:
@@ -225,6 +230,9 @@ def cmd_evaluate(args) -> int:
             pairs = evalstats.read_score_file(
                 Path(args.input).read_text(), labels, level=args.level
             )
+            if not pairs:
+                print(f"error: {args.input}: no scored pairs", file=sys.stderr)
+                return 2
     except evalstats.MissingLabelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -245,7 +253,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out_dir: Path) -> int:
-    n_match = sum(p.is_match for p in pairs)
+    n_match = np.count_nonzero(pairs.match)
     pv = evalstats.pvalue_curve(pairs, polarity, eval_bins)
     evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, pv)
 
@@ -267,7 +275,7 @@ def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out
         roc = evalstats.roc_curve(pairs, polarity)
         area = evalstats.auc(roc)
         evalstats.write_curve_csv(
-            out_dir / "roc.csv", "roc", polarity, [(x, y, 0) for x, y in roc]
+            out_dir / "roc.csv", "roc", polarity, ((x, y, 0) for x, y in roc)
         )
         auc_s = f"{area:.6f}"
     except evalstats.SingleClassError as exc:

@@ -5,25 +5,34 @@ pairwise score as the discriminant: empirical match-probability curves over
 score bins, Matthews correlation sweeps over thresholds, ROC staircases and
 trapezoid AUC.  Works both on descriptor stores (scoring all structure
 pairs) and on externally computed score files.
+
+Scored pairs are held as one :class:`PairScores` record of columns (an id
+table, int32 pair indices, float64 scores and bool matches; 17 bytes per
+pair), which reads as a sequence of :class:`ScoredPair` rows.  The curve
+functions accept it or any hand-built list of :class:`ScoredPair`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
 from .featuredb import FeatureStore
-from .structure_io import ScopLabel, family_match, superfamily_match
+from .structure_io import ScopLabel
 
 DEFAULT_EVAL_BINS = 200
 
 # pairs scored per work unit; fixed so results do not depend on the job count
 _CHUNK = 8192
+# pairs per distance block: keeps the (block, 1024) temporaries in cache
+_BLOCK = 32
 
 
 class DegenerateRangeError(ValueError):
@@ -59,6 +68,54 @@ class ScoredPair:
     is_match: bool
 
 
+@dataclass(frozen=True, eq=False)
+class PairScores(Sequence):
+    """Scored pairs as columns: pair k is ``ids[i[k]]``, ``ids[j[k]]``,
+    ``score[k]`` and ``match[k]``.
+
+    ``i`` and ``j`` are int32 indices into ``ids``, ``score`` is float64 and
+    ``match`` is bool.  Reads as a sequence of :class:`ScoredPair` rows; two
+    records are equal when they hold the same rows in the same order.
+    """
+
+    ids: list[str]
+    i: np.ndarray
+    j: np.ndarray
+    score: np.ndarray
+    match: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, k: int) -> ScoredPair:
+        return ScoredPair(
+            id_a=self.ids[self.i[k]],
+            id_b=self.ids[self.j[k]],
+            score=float(self.score[k]),
+            is_match=bool(self.match[k]),
+        )
+
+    def __iter__(self):
+        ids = self.ids
+        for a, b, s, m in zip(
+            self.i.tolist(), self.j.tolist(), self.score.tolist(), self.match.tolist()
+        ):
+            yield ScoredPair(id_a=ids[a], id_b=ids[b], score=s, is_match=m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairScores):
+            return NotImplemented
+        mine = np.array(self.ids, dtype=object)
+        theirs = np.array(other.ids, dtype=object)
+        return (
+            len(self) == len(other)
+            and np.array_equal(self.score, other.score)
+            and np.array_equal(self.match, other.match)
+            and np.array_equal(mine[self.i], theirs[other.i])
+            and np.array_equal(mine[self.j], theirs[other.j])
+        )
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int
@@ -72,6 +129,8 @@ class ConfusionCounts:
 
 
 def _as_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(pairs, PairScores):
+        return pairs.score, pairs.match
     scores = np.fromiter((p.score for p in pairs), dtype=np.float64, count=len(pairs))
     match = np.fromiter((p.is_match for p in pairs), dtype=bool, count=len(pairs))
     return scores, match
@@ -209,12 +268,11 @@ def roc_curve(pairs, polarity: Polarity) -> list[tuple[float, float]]:
     m = match[order]
     # index of the last pair in each group of equal scores
     ends = np.append(np.nonzero(np.diff(s) != 0)[0], len(s) - 1)
-    cum_m = np.cumsum(m)
+    tp = np.cumsum(m)[ends]
+    fp = ends + 1 - tp
+    # counts are below 2**53, so these are the same quotients as int / int
     points = [(0.0, 0.0)]
-    for e in ends:
-        tp = int(cum_m[e])
-        fp = int(e) + 1 - tp
-        points.append((fp / n_non, tp / n_match))
+    points.extend(zip((fp / n_non).tolist(), (tp / n_match).tolist()))
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     return points
@@ -235,12 +293,27 @@ def sensitivity_specificity(c: ConfusionCounts) -> tuple[float, float]:
     return c.tp / (c.tp + c.fn), c.tn / (c.tn + c.fp)
 
 
-def _match_fn(level: str):
-    if level == "family":
-        return family_match
-    if level == "superfamily":
-        return superfamily_match
-    raise ValueError(f"unknown match level {level!r}")
+_LEVEL_KEYS = {
+    "family": attrgetter("sccs_class", "fold", "superfamily", "family"),
+    "superfamily": attrgetter("sccs_class", "fold", "superfamily"),
+}
+
+
+def _level_key(level: str):
+    try:
+        return _LEVEL_KEYS[level]
+    except KeyError:
+        raise ValueError(f"unknown match level {level!r}") from None
+
+
+def _label_codes(labels: list[ScopLabel], key) -> np.ndarray:
+    """One integer per label, equal exactly when the labels' keys are equal.
+
+    With the key of a level, ``codes[a] == codes[b]`` agrees with
+    ``family_match`` / ``superfamily_match`` of the two labels.
+    """
+    table: dict[tuple, int] = {}
+    return np.array([table.setdefault(key(lab), len(table)) for lab in labels], dtype=np.int32)
 
 
 def pair_count(n: int) -> int:
@@ -266,6 +339,21 @@ def pair_from_index(k: int, n: int) -> tuple[int, int]:
     return lo, lo + 1 + (k - before)
 
 
+def pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`pair_from_index`: int64 flat indices to (i, j) arrays.
+
+    Row i starts at flat index i*(n-1) - i*(i-1)/2; a search of those exact
+    int64 starts finds each index's row.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size and (ks.min() < 0 or ks.max() >= pair_count(n)):
+        raise ValueError(f"pair index out of range for n={n}")
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(row_start, ks, side="right") - 1
+    return i, i + 1 + (ks - row_start[i])
+
+
 def sample_pair_indices(total: int, count: int, seed: int) -> list[int]:
     """Deterministic uniform sample without replacement (Floyd), sorted."""
     if count >= total:
@@ -278,22 +366,30 @@ def sample_pair_indices(total: int, count: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
+def _distances(mat: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distance between rows ``i[k]`` and ``j[k]`` of ``mat``.
+
+    Each pair's sum runs over its own contiguous difference row, so a
+    distance does not depend on the block size or on how pairs are split
+    into work units.
+    """
+    out = np.empty(len(i))
+    for s in range(0, len(i), _BLOCK):
+        d = mat[i[s : s + _BLOCK]] - mat[j[s : s + _BLOCK]]
+        out[s : s + _BLOCK] = (d * d).sum(axis=1)
+    return np.sqrt(out, out=out)
+
+
 _PAIR_MAT: np.ndarray | None = None
-_PAIR_N = 0
 
 
-def _init_pair_worker(mat: np.ndarray, n: int) -> None:
-    global _PAIR_MAT, _PAIR_N
+def _init_pair_worker(mat: np.ndarray) -> None:
+    global _PAIR_MAT
     _PAIR_MAT = mat
-    _PAIR_N = n
 
 
-def _pair_worker(chunk: list[int]) -> np.ndarray:
-    ij = [pair_from_index(k, _PAIR_N) for k in chunk]
-    ia = np.fromiter((i for i, _ in ij), dtype=np.int64, count=len(ij))
-    ib = np.fromiter((j for _, j in ij), dtype=np.int64, count=len(ij))
-    d = _PAIR_MAT[ia] - _PAIR_MAT[ib]
-    return np.sqrt((d * d).sum(axis=1))
+def _pair_worker(ij: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    return _distances(_PAIR_MAT, *ij)
 
 
 def score_pairs(
@@ -303,7 +399,7 @@ def score_pairs(
     sample: int | None = None,
     seed: int = 0,
     jobs: int = 1,
-) -> list[ScoredPair]:
+) -> PairScores:
     """Score labeled structure pairs from a descriptor store.
 
     All n*(n-1)/2 unordered pairs by default; ``sample`` draws that many
@@ -318,73 +414,78 @@ def score_pairs(
         )
     if len(entries) < 2:
         raise ValueError("need at least two entries to form pairs")
-    match = _match_fn(level)
+    codes = _label_codes([labels[e.id] for e in entries], _level_key(level))
     n = len(entries)
     total = pair_count(n)
     if sample is not None and sample < total:
-        ks = sample_pair_indices(total, sample, seed)
+        ks = np.array(sample_pair_indices(total, sample, seed), dtype=np.int64)
     else:
-        ks = list(range(total))
+        ks = np.arange(total, dtype=np.int64)
+    i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
     mat = np.stack([e.values for e in entries])
-    chunks = [ks[i : i + _CHUNK] for i in range(0, len(ks), _CHUNK)]
-    if jobs > 1 and len(chunks) > 1:
+    if jobs > 1 and len(i) > _CHUNK:
+        units = [(i[s : s + _CHUNK], j[s : s + _CHUNK]) for s in range(0, len(i), _CHUNK)]
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_pair_worker, initargs=(mat, n)
+            max_workers=jobs, initializer=_init_pair_worker, initargs=(mat,)
         ) as pool:
-            dists = list(pool.map(_pair_worker, chunks))
+            scores = np.concatenate(list(pool.map(_pair_worker, units)))
     else:
-        _init_pair_worker(mat, n)
-        dists = [_pair_worker(c) for c in chunks]
-    out: list[ScoredPair] = []
-    for chunk, d in zip(chunks, dists):
-        for k, dist in zip(chunk, d):
-            i, j = pair_from_index(k, n)
-            a, b = entries[i], entries[j]
-            out.append(
-                ScoredPair(
-                    id_a=a.id,
-                    id_b=b.id,
-                    score=float(dist),
-                    is_match=match(labels[a.id], labels[b.id]),
-                )
-            )
-    return out
+        scores = _distances(mat, i, j)
+    return PairScores(
+        ids=[e.id for e in entries], i=i, j=j, score=scores, match=codes[i] == codes[j]
+    )
 
 
 def read_score_file(
     text: str, labels: dict[str, ScopLabel], level: str = "family"
-) -> list[ScoredPair]:
+) -> PairScores:
     """Parse ``id_a,id_b,score`` rows (optional header, # comments) into pairs.
 
     Every id must appear in the label table; otherwise
-    :class:`MissingLabelError` is raised.
+    :class:`MissingLabelError` is raised.  A score that is not finite (nan,
+    inf) raises :class:`ValueError` naming the row.
     """
-    match = _match_fn(level)
-    pairs: list[ScoredPair] = []
+    key = _level_key(level)
+    index: dict[str, int] = {}
+    ia: list[int] = []
+    ib: list[int] = []
+    scores: list[float] = []
     first = True
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) < 3:
             raise ValueError(f"score row needs id_a,id_b,score: {raw!r}")
         try:
-            s = float(parts[2])
+            s = float(parts[2].strip())
         except ValueError:
             if first:
                 first = False
                 continue
             raise
         first = False
-        a, b = parts[0], parts[1]
+        if not math.isfinite(s):
+            raise ValueError(f"score row has a non-finite score: {raw!r}")
+        a, b = parts[0].strip(), parts[1].strip()
         for sid in (a, b):
             if sid not in labels:
                 raise MissingLabelError(f"no label for id {sid!r}")
-        pairs.append(
-            ScoredPair(id_a=a, id_b=b, score=s, is_match=match(labels[a], labels[b]))
-        )
-    return pairs
+        ia.append(index.setdefault(a, len(index)))
+        ib.append(index.setdefault(b, len(index)))
+        scores.append(s)
+    ids = list(index)
+    codes = _label_codes([labels[sid] for sid in ids], key)
+    i = np.array(ia, dtype=np.int32)
+    j = np.array(ib, dtype=np.int32)
+    return PairScores(
+        ids=ids,
+        i=i,
+        j=j,
+        score=np.array(scores, dtype=np.float64),
+        match=codes[i] == codes[j],
+    )
 
 
 def write_curve_csv(path, metric: str, polarity, rows) -> None:

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from comogphog.evalstats import (
     pvalue_curve,
     score_pairs,
 )
-from comogphog.featuredb import load_store
+from comogphog.featuredb import FeatureStore, load_store, save_store
+from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score, search
 from comogphog.structure_io import parse_structure, read_label_table
 from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace, transform
@@ -438,6 +442,109 @@ def test_evaluate_degenerate_scores_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_evaluate_bad_sample_exits_2(corpus, store_path, tmp_path, capsys, sample):
+    _, labels = corpus
+    code, _, stderr = run(
+        capsys,
+        "evaluate", store_path, tmp_path / "eval", "--labels", labels, "--sample", sample,
+    )
+    assert code == 2
+    assert "error: --sample" in stderr
+
+
+def test_evaluate_header_only_score_file_exits_2(corpus, tmp_path, capsys):
+    _, labels = corpus
+    score_file = tmp_path / "empty.csv"
+    score_file.write_text("id_a,id_b,score\n# nothing scored\n")
+    code, _, stderr = run(
+        capsys,
+        "evaluate", score_file, tmp_path / "eval", "--labels", labels, "--polarity", "lower",
+    )
+    assert code == 2
+    assert "error:" in stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_score_exits_1(corpus, tmp_path, capsys, bad):
+    _, labels = corpus
+    score_file = tmp_path / "scores.csv"
+    score_file.write_text(f"hel0,hel1,0.5\nhel0,ext0,{bad}\nhel1,ext0,2.0\n")
+    code, _, stderr = run(
+        capsys,
+        "evaluate", score_file, tmp_path / "eval", "--labels", labels, "--polarity", "lower",
+    )
+    assert code == 1
+    assert "hel0,ext0" in stderr
+
+
+# --- evaluation golden ---
+
+GOLDEN_EVAL = Path(__file__).parent / "data" / "golden_eval.json"
+
+
+def golden_eval_inputs(root):
+    """A 120-entry store in 15 families and 5 superfamilies, its label table
+    and an ``id_a,id_b,score`` file of all its pairs.
+
+    Descriptor values lie on a 1/64 grid, so every squared distance is an
+    exact sum in float64 whatever order it is added in, and the outputs do
+    not depend on the machine's summation kernel.
+    """
+    rng = np.random.default_rng(20240517)
+    superfamily = 32 + rng.integers(-2, 3, size=(5, FEATURE_LENGTH))
+    family = rng.integers(-2, 3, size=(15, FEATURE_LENGTH))
+    entries, rows = [], []
+    for f in range(15):
+        for m in range(8):
+            noise = rng.integers(-10, 11, size=FEATURE_LENGTH)
+            values = np.clip(superfamily[f // 3] + family[f] + noise, 0, 63) / 64.0
+            sid = f"g{f:02d}m{m}"
+            entries.append(FeatureVector(id=sid, values=values))
+            rows.append(f"{sid}\tc.1.{f // 3 + 1}.{f % 3 + 1}")
+    # stored out of id order; evaluation pairs entries in id order
+    order = rng.permutation(len(entries))
+    store = root / "golden.cmg"
+    save_store(FeatureStore(entries=[entries[k] for k in order]), store)
+    labels = root / "golden_labels.tsv"
+    labels.write_text("sid\tsccs\n" + "\n".join(rows) + "\n")
+    lines = ["id_a,id_b,score", "# all pairs, Euclidean distance"]
+    for a, b in itertools.combinations(entries, 2):
+        d = float(np.sqrt(((a.values - b.values) ** 2).sum()))
+        lines.append(f"{a.id},{b.id},{d:.17g}")
+    scores = root / "golden_scores.csv"
+    scores.write_text("\n".join(lines) + "\n")
+    return store, labels, scores
+
+
+def golden_eval_digests(root, capsys):
+    """sha256 of every output and of stdout for each evaluation case."""
+    store, labels, scores = golden_eval_inputs(root)
+    cases = {
+        "store_family": [store],
+        "store_superfamily": [store, "--level", "superfamily"],
+        "store_sample2000": [store, "--sample", 2000],
+        "file_lower": [scores, "--polarity", "lower"],
+    }
+    digests = {}
+    for name, argv in cases.items():
+        out = root / name
+        code, stdout, _ = run(capsys, "evaluate", argv[0], out, "--labels", labels, *argv[1:])
+        assert code == 0
+        digests[name] = {
+            f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("pvalue.csv", "mcc.csv", "roc.csv", "summary.txt")
+        }
+        digests[name]["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    return digests
+
+
+def test_evaluate_matches_golden(tmp_path, capsys):
+    # digests recorded from the per-pair implementation of evaluate; any
+    # change here changes the bytes evaluate writes
+    assert golden_eval_digests(tmp_path, capsys) == json.loads(GOLDEN_EVAL.read_text())
 
 
 # --- module entry point ---

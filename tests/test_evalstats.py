@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from comogphog.evalstats import (
     ConfusionCounts,
     DegenerateRangeError,
     MissingLabelError,
+    PairScores,
     Polarity,
     ScoredPair,
     SingleClassError,
@@ -21,6 +23,7 @@ from comogphog.evalstats import (
     mcc_curve,
     pair_count,
     pair_from_index,
+    pairs_from_indices,
     pvalue_curve,
     read_score_file,
     roc_curve,
@@ -32,7 +35,7 @@ from comogphog.evalstats import (
 from comogphog.featuredb import FeatureStore
 from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score
-from comogphog.structure_io import parse_scop_label
+from comogphog.structure_io import family_match, parse_scop_label, superfamily_match
 
 LOWER = Polarity.LOWER_IS_SIMILAR
 HIGHER = Polarity.HIGHER_IS_SIMILAR
@@ -437,3 +440,238 @@ def test_write_curve_csv(tmp_path):
     assert lines[0] == "mcc:lower,value,count"
     assert lines[1] == "0.25,0.5,10"
     assert lines[2] == "0.75,nan,0"
+
+
+def test_read_score_file_non_finite(labeled_store):
+    _, labels = labeled_store
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"d1,d3,{bad}"):
+            read_score_file(f"d1,d2,0.5\nd1,d3,{bad}\n", labels)
+
+
+# --- columnar record ---
+
+
+def test_pair_scores_rows_and_equality():
+    ids = ["x", "y", "z"]
+    a = PairScores(
+        ids=ids,
+        i=np.array([0, 1], dtype=np.int32),
+        j=np.array([2, 2], dtype=np.int32),
+        score=np.array([0.5, 1.5]),
+        match=np.array([True, False]),
+    )
+    rows = [ScoredPair("x", "z", 0.5, True), ScoredPair("y", "z", 1.5, False)]
+    assert list(a) == rows
+    assert [a[0], a[1], a[-1]] == rows + rows[1:]
+    with pytest.raises(IndexError):
+        a[2]
+    # the same rows over a differently ordered id table
+    b = PairScores(
+        ids=["z", "y", "x"],
+        i=np.array([2, 1], dtype=np.int32),
+        j=np.array([0, 0], dtype=np.int32),
+        score=np.array([0.5, 1.5]),
+        match=np.array([True, False]),
+    )
+    assert a == b
+    c = PairScores(ids, a.i, a.j, np.array([0.5, 2.0]), a.match)
+    assert a != c
+    assert a != PairScores(ids, a.i[:1], a.j[:1], a.score[:1], a.match[:1])
+    assert auc(roc_curve(a, LOWER)) == auc(roc_curve(rows, LOWER))
+
+
+# --- exactness oracles: the per-pair implementation, kept as the reference ---
+
+
+def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
+    """One ScoredPair per pair: scalar decoding, per-pair label comparison
+    and distances over 8192-pair chunks."""
+    entries = sorted(store.entries, key=lambda e: e.id)
+    match = family_match if level == "family" else superfamily_match
+    n = len(entries)
+    total = pair_count(n)
+    if sample is not None and sample < total:
+        ks = sample_pair_indices(total, sample, seed)
+    else:
+        ks = list(range(total))
+    mat = np.stack([e.values for e in entries])
+    out = []
+    for s in range(0, len(ks), 8192):
+        chunk = ks[s : s + 8192]
+        ij = [pair_from_index(k, n) for k in chunk]
+        d = mat[[i for i, _ in ij]] - mat[[j for _, j in ij]]
+        for (i, j), dist in zip(ij, np.sqrt((d * d).sum(axis=1))):
+            a, b = entries[i], entries[j]
+            out.append(
+                ScoredPair(a.id, b.id, float(dist), match(labels[a.id], labels[b.id]))
+            )
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_store():
+    # more pairs than one work unit, so jobs=2 runs the pool; labels spread
+    # over classes, folds, superfamilies and families
+    rng = np.random.default_rng(32)
+    n = 140
+    ids = [f"s{k:03d}" for k in rng.permutation(n)]
+    store = FeatureStore(
+        entries=[FeatureVector(id=i, values=rng.random(FEATURE_LENGTH)) for i in ids]
+    )
+    sccs = ["a.1.1.1", "a.1.1.2", "a.1.2.1", "a.2.1.1", "b.1.1.1", "b.1.1.2", "c.3.1.1"]
+    labels = {i: parse_scop_label(i, sccs[k % len(sccs)]) for k, i in enumerate(ids)}
+    return store, labels
+
+
+def assert_same_rows(got, expected):
+    assert len(got) == len(expected)
+    assert [(p.id_a, p.id_b) for p in got] == [(p.id_a, p.id_b) for p in expected]
+    assert [p.is_match for p in got] == [p.is_match for p in expected]
+    assert (
+        np.array([p.score for p in got]).tobytes()
+        == np.array([p.score for p in expected]).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"level": "superfamily"},
+        {"jobs": 2},
+        {"sample": 3000, "seed": 0},
+        {"sample": 3000, "seed": 1},
+        {"sample": 500, "seed": 2, "level": "superfamily"},
+    ],
+)
+def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs):
+    store, labels = oracle_store
+    got = score_pairs(store, labels, **kwargs)
+    kwargs.pop("jobs", None)
+    expected = reference_score_pairs(store, labels, **kwargs)
+    assert_same_rows(got, expected)
+    assert any(p.is_match for p in expected)
+
+
+def test_pairs_from_indices_every_index():
+    for n in range(2, 41):
+        ks = np.arange(pair_count(n))
+        i, j = pairs_from_indices(ks, n)
+        assert list(zip(i.tolist(), j.tolist())) == [pair_from_index(k, n) for k in range(len(ks))]
+
+
+def test_pairs_from_indices_beyond_int32():
+    n = 200_000
+    assert pair_count(n) > 2**31
+    rows = np.random.default_rng(33).integers(0, n - 1, size=50)
+    starts = [r * (n - 1) - r * (r - 1) // 2 for r in rows.tolist()]
+    ks = [k for s, r in zip(starts, rows.tolist()) for k in (s, s + n - 2 - r)]
+    i, j = pairs_from_indices(np.array(ks), n)
+    assert list(zip(i.tolist(), j.tolist())) == [pair_from_index(k, n) for k in ks]
+
+
+def test_pairs_from_indices_range_check():
+    with pytest.raises(ValueError):
+        pairs_from_indices(np.array([6]), 4)
+    with pytest.raises(ValueError):
+        pairs_from_indices(np.array([-1]), 4)
+
+
+def reference_roc(pairs, pol):
+    """Walk the pairs from most to least similar, one point per distinct score."""
+    rows = sorted(pairs, key=lambda p: p.score, reverse=pol is HIGHER)
+    n_match = sum(p.is_match for p in rows)
+    n_non = len(rows) - n_match
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for k, p in enumerate(rows):
+        tp += p.is_match
+        fp += not p.is_match
+        if k == len(rows) - 1 or rows[k + 1].score != p.score:
+            points.append((fp / n_non, tp / n_match))
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    return points
+
+
+def test_roc_matches_scalar_reference():
+    rng = np.random.default_rng(34)
+    for trial in range(6):
+        # scores on a coarse grid, so many are tied
+        n = 400
+        scores = rng.integers(0, 37, size=n) / 8.0
+        pairs = pairs_from(scores, rng.random(n) < 0.3)
+        record = PairScores(
+            ids=[f"a{k}" for k in range(n)] + [f"b{k}" for k in range(n)],
+            i=np.arange(n, dtype=np.int32),
+            j=np.arange(n, 2 * n, dtype=np.int32),
+            score=scores,
+            match=np.array([p.is_match for p in pairs]),
+        )
+        for pol in (LOWER, HIGHER):
+            expected = [(x.hex(), y.hex()) for x, y in reference_roc(pairs, pol)]
+            for given_pairs in (pairs, record):
+                got = roc_curve(given_pairs, pol)
+                assert [(x.hex(), y.hex()) for x, y in got] == expected
+
+
+def reference_read_score_file(text, labels, level="family"):
+    match = family_match if level == "family" else superfamily_match
+    pairs = []
+    first = True
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            s = float(parts[2])
+        except ValueError:
+            if first:
+                first = False
+                continue
+            raise
+        first = False
+        a, b = parts[0], parts[1]
+        pairs.append(ScoredPair(a, b, s, match(labels[a], labels[b])))
+    return pairs
+
+
+@pytest.mark.parametrize("level", ["family", "superfamily"])
+def test_read_score_file_matches_per_row_reference(oracle_store, level):
+    _, labels = oracle_store
+    rng = np.random.default_rng(35)
+    ids = sorted(labels)
+    lines = ["# written by another tool", "id_a , id_b , score", ""]
+    for _ in range(2000):
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        lines.append(f" {ids[a]},{ids[b]}, {rng.normal() * 10:.17g}")
+        if rng.random() < 0.05:
+            lines.append("# comment")
+    text = "\n".join(lines) + "\n"
+    assert_same_rows(
+        read_score_file(text, labels, level=level),
+        reference_read_score_file(text, labels, level=level),
+    )
+
+
+def test_score_pairs_memory_bound():
+    rng = np.random.default_rng(36)
+    n = 300
+    store = FeatureStore(
+        entries=[
+            FeatureVector(id=f"e{k:03d}", values=rng.random(FEATURE_LENGTH)) for k in range(n)
+        ]
+    )
+    labels = {
+        e.id: parse_scop_label(e.id, f"a.1.1.{k % 40 + 1}") for k, e in enumerate(store.entries)
+    }
+    tracemalloc.start()
+    try:
+        pairs = score_pairs(store, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == pair_count(n)
+    assert peak <= 32 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
