@@ -34,6 +34,7 @@ from .featuredb import (
 )
 from .features import (
     FEATURE_LENGTH,
+    FeatureConfig,
     FeatureVector,
     QuantizedOrientations,
     comograd,
@@ -65,6 +66,7 @@ __all__ = [
     "CaTrace",
     "ConfusionCounts",
     "FEATURE_LENGTH",
+    "FeatureConfig",
     "FeatureStore",
     "FeatureVector",
     "GradientField",

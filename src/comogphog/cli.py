@@ -10,79 +10,67 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evalstats, featuredb
 from .evalstats import Polarity
-from .features import FEATURE_LENGTH, PHOG_LENGTH, extract_features, phog_cells
+from .features import FEATURE_LENGTH, FeatureConfig, extract_features
 from .scoring import score, search
 from .structure_io import parse_structure, read_label_table
 
 
+# JSON config key -> FeatureConfig field, in the order the echo prints them
+_FEATURE_KEYS = {
+    "bins_comograd": "comograd_bins",
+    "bins_phog": "phog_bins",
+    "phog_levels": "phog_levels",
+    "image_size": "image_size",
+}
+
+
 @dataclass(frozen=True)
 class Config:
-    """Tunable pipeline parameters with their standard values."""
+    """Pipeline geometry plus the evaluation grid size, with standard values."""
 
-    bins_comograd: int = 16
-    bins_phog: int = 9
-    phog_levels: int = 3
-    image_size: int = 128
+    features: FeatureConfig = FeatureConfig()
     eval_bins: int = 200
 
     def validate(self) -> None:
-        # bin counts partition the circle into equal angular bins (the
-        # defaults give 22.5- and 40-degree widths)
-        if self.bins_comograd < 1:
-            raise ValueError(f"bins_comograd must be >= 1, got {self.bins_comograd}")
-        if self.bins_phog < 1:
-            raise ValueError(f"bins_phog must be >= 1, got {self.bins_phog}")
-        if self.phog_levels < 0:
-            raise ValueError(f"phog_levels must be >= 0, got {self.phog_levels}")
-        if self.image_size < 2 or self.image_size & (self.image_size - 1):
-            raise ValueError(f"image_size must be a power of two, got {self.image_size}")
-        if self.image_size % (1 << self.phog_levels):
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by 2^{self.phog_levels}"
-            )
-        if self.eval_bins < 2:
+        self.features.validate()
+        if not isinstance(self.eval_bins, int) or self.eval_bins < 2:
             raise ValueError(f"eval_bins must be >= 2, got {self.eval_bins}")
-
-    @property
-    def feature_kwargs(self) -> dict:
-        return {
-            "comograd_bins": self.bins_comograd,
-            "phog_bins": self.bins_phog,
-            "phog_levels": self.phog_levels,
-            "image_size": self.image_size,
-        }
-
-    def feature_length(self) -> int:
-        if (self.bins_phog, self.phog_levels) == (9, 3):
-            block = PHOG_LENGTH
-        else:
-            block = phog_cells(self.phog_levels) * self.bins_phog
-        return self.bins_comograd**2 + block
 
 
 def _load_config(path: str | None) -> Config:
-    cfg = Config()
-    if path:
-        raw = json.loads(Path(path).read_text())
-        known = {f.name for f in fields(Config)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg = replace(cfg, **raw)
+    raw = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(raw) - set(_FEATURE_KEYS) - {"eval_bins"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    geometry = {field: raw[key] for key, field in _FEATURE_KEYS.items() if key in raw}
+    cfg = Config(FeatureConfig(**geometry), raw.get("eval_bins", Config.eval_bins))
     cfg.validate()
     return cfg
 
 
+def _geometry(features: FeatureConfig) -> str:
+    return " ".join(f"{key}={getattr(features, f)}" for key, f in _FEATURE_KEYS.items())
+
+
 def _echo_config(cfg: Config) -> None:
-    pairs = " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(Config))
-    print(f"config: {pairs}", file=sys.stderr)
+    print(f"config: {_geometry(cfg.features)} eval_bins={cfg.eval_bins}", file=sys.stderr)
+
+
+def _below_one(option: str, value: int | None) -> bool:
+    """Report an option value below 1 (checked before any input is read)."""
+    if value is not None and value < 1:
+        print(f"error: --{option} must be >= 1, got {value}", file=sys.stderr)
+        return True
+    return False
 
 
 def _read_labels(path: str):
@@ -90,16 +78,18 @@ def _read_labels(path: str):
 
 
 def cmd_extract(args) -> int:
+    if _below_one("jobs", args.jobs):
+        return 2
     try:
         cfg = _load_config(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _echo_config(cfg)
-    if cfg.feature_length() != FEATURE_LENGTH:
+    if cfg.features.length != FEATURE_LENGTH:
         print(
-            f"error: config gives {cfg.feature_length()}-entry vectors; the "
-            f"store format holds exactly {FEATURE_LENGTH}",
+            f"error: config gives {cfg.features.length}-entry vectors; extract "
+            f"writes the {FEATURE_LENGTH}-entry descriptor",
             file=sys.stderr,
         )
         return 1
@@ -115,7 +105,7 @@ def cmd_extract(args) -> int:
 
     try:
         store = featuredb.ingest_dir(
-            args.dir, labels=labels, jobs=args.jobs, report=report, **cfg.feature_kwargs
+            args.dir, labels=labels, jobs=args.jobs, report=report, config=cfg.features
         )
     except featuredb.EmptyCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -132,10 +122,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _extract_one(path: str, cfg: Config):
+def _extract_one(path: str, features: FeatureConfig):
     text = Path(path).read_text(errors="replace")
     trace = parse_structure(text, structure_id=Path(path).stem)
-    return extract_features(trace, **cfg.feature_kwargs)
+    return extract_features(trace, features)
 
 
 def cmd_score(args) -> int:
@@ -146,8 +136,8 @@ def cmd_score(args) -> int:
         return 1
     _echo_config(cfg)
     try:
-        fa = _extract_one(args.file_a, cfg)
-        fb = _extract_one(args.file_b, cfg)
+        fa = _extract_one(args.file_a, cfg.features)
+        fb = _extract_one(args.file_b, cfg.features)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -156,20 +146,30 @@ def cmd_score(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if _below_one("k", args.k):
+        return 2
     try:
         cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _echo_config(cfg)
-    try:
         store = featuredb.load_store(args.store)
-        query = _extract_one(args.query, cfg)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # the query is extracted with the geometry the store was built with
+    if args.config and cfg.features != store.config:
+        print(
+            f"error: --config gives {_geometry(cfg.features)}, but {args.store} "
+            f"was built with {_geometry(store.config)}",
+            file=sys.stderr,
+        )
+        return 1
+    _echo_config(replace(cfg, features=store.config))
+    try:
+        query = _extract_one(args.query, store.config)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        hits = search(store.entries, query, args.k)
+        hits = search(store, query, args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -187,6 +187,8 @@ def _is_store(path: str) -> bool:
 
 
 def cmd_evaluate(args) -> int:
+    if _below_one("jobs", args.jobs) or _below_one("sample", args.sample):
+        return 2
     try:
         cfg = _load_config(args.config)
     except (OSError, ValueError) as exc:
@@ -196,9 +198,6 @@ def cmd_evaluate(args) -> int:
     eval_bins = args.eval_bins if args.eval_bins is not None else cfg.eval_bins
     if eval_bins < 2:
         print(f"error: --eval-bins must be >= 2, got {eval_bins}", file=sys.stderr)
-        return 2
-    if args.sample is not None and args.sample < 1:
-        print(f"error: --sample must be >= 1, got {args.sample}", file=sys.stderr)
         return 2
     try:
         labels = _read_labels(args.labels)

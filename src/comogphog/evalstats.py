@@ -406,23 +406,25 @@ def score_pairs(
     pairs with a seeded deterministic sampler.  Entries are paired in id
     order and results are identical for any ``jobs`` setting.
     """
-    entries = sorted(store.entries, key=lambda e: e.id)
-    missing = [e.id for e in entries if e.id not in labels]
+    ids, mat = store.ids(), store.matrix
+    if ids != sorted(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, mat = [ids[k] for k in order], mat[order]
+    missing = [sid for sid in ids if sid not in labels]
     if missing:
         raise MissingLabelError(
             f"{len(missing)} ids without labels, e.g. {', '.join(missing[:5])}"
         )
-    if len(entries) < 2:
+    if len(ids) < 2:
         raise ValueError("need at least two entries to form pairs")
-    codes = _label_codes([labels[e.id] for e in entries], _level_key(level))
-    n = len(entries)
+    codes = _label_codes([labels[sid] for sid in ids], _level_key(level))
+    n = len(ids)
     total = pair_count(n)
     if sample is not None and sample < total:
         ks = np.array(sample_pair_indices(total, sample, seed), dtype=np.int64)
     else:
         ks = np.arange(total, dtype=np.int64)
     i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
-    mat = np.stack([e.values for e in entries])
     if jobs > 1 and len(i) > _CHUNK:
         units = [(i[s : s + _CHUNK], j[s : s + _CHUNK]) for s in range(0, len(i), _CHUNK)]
         with ProcessPoolExecutor(
@@ -431,9 +433,7 @@ def score_pairs(
             scores = np.concatenate(list(pool.map(_pair_worker, units)))
     else:
         scores = _distances(mat, i, j)
-    return PairScores(
-        ids=[e.id for e in entries], i=i, j=j, score=scores, match=codes[i] == codes[j]
-    )
+    return PairScores(ids=ids, i=i, j=j, score=scores, match=codes[i] == codes[j])
 
 
 def read_score_file(

@@ -1,36 +1,45 @@
 """Binary persistence for descriptor collections plus directory ingestion.
 
-Store layout (little-endian throughout):
+Store layout, format v2 (little-endian throughout):
 
     magic  b"CMGP"
-    u32    format version (currently 1)
+    u32    format version (2)
     u32    entry count
+    u32    comograd_bins, phog_bins, phog_levels, image_size
+           (the FeatureConfig the vectors were built with)
+    u32    vector length (must equal that config's length)
     per entry:
         u16    id byte length
         bytes  id (UTF-8)
-        f64[1024]  descriptor values
+    zero bytes up to the next multiple of 8
+    f64[count, length]  descriptor matrix, row per entry
 
+Format v1 (still read, never written) holds the count, then per entry the
+id length, the id and 1024 float64 values; it implies the default config.
 Raw float64 bytes round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import secrets
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .features import FEATURE_LENGTH, FeatureVector, extract_features
+from .features import FEATURE_LENGTH, FeatureConfig, FeatureVector, extract_features
 from .structure_io import parse_structure
 
 MAGIC = b"CMGP"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sII")
+_GEOMETRY = struct.Struct("<IIIII")
 _IDLEN = struct.Struct("<H")
-_VEC_BYTES = FEATURE_LENGTH * 8
+_V1_VEC_BYTES = FEATURE_LENGTH * 8
 
 
 class BadMagicError(ValueError):
@@ -42,81 +51,202 @@ class UnsupportedVersionError(ValueError):
 
 
 class CorruptEntryError(ValueError):
-    """Feature store ends mid-entry or carries trailing bytes."""
+    """Feature store with a bad header, id table or size, or trailing bytes."""
 
 
 class EmptyCorpusError(ValueError):
     """Ingestion found no parseable structure files."""
 
 
-@dataclass
 class FeatureStore:
-    """An ordered collection of descriptors with unique ids."""
+    """An ordered collection of descriptors with unique ids.
 
-    version: int = VERSION
-    entries: list[FeatureVector] = field(default_factory=list)
+    Holds the ids, one (count, length) float64 ``matrix`` with a row per
+    id, and the :class:`FeatureConfig` the rows were built with.  Build one
+    from ``entries`` (a list of :class:`FeatureVector`, copied into the
+    matrix) or from ``ids`` and ``matrix``.  ``version`` is the format the
+    store was read from; :func:`save_store` always writes the current one.
+    """
+
+    def __init__(
+        self,
+        entries: list[FeatureVector] = (),
+        *,
+        ids: list[str] | None = None,
+        matrix: np.ndarray | None = None,
+        config: FeatureConfig = FeatureConfig(),
+        version: int = VERSION,
+    ):
+        if ids is None:
+            ids = [e.id for e in entries]
+            matrix = (
+                np.stack([np.asarray(e.values, dtype=np.float64) for e in entries])
+                if entries
+                else np.empty((0, config.length))
+            )
+        self._ids = list(ids)
+        self.matrix = matrix
+        self.config = config
+        self.version = version
 
     def ids(self) -> list[str]:
-        return [e.id for e in self.entries]
+        return list(self._ids)
+
+    @property
+    def entries(self) -> list[FeatureVector]:
+        """One vector per row; each ``values`` is a view into ``matrix``."""
+        return [FeatureVector(id=i, values=row) for i, row in zip(self._ids, self.matrix)]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
 
 
 def _check_store(store: FeatureStore) -> None:
     seen: set[str] = set()
-    for e in store.entries:
-        if e.id in seen:
-            raise ValueError(f"duplicate id {e.id!r} in store")
-        seen.add(e.id)
-        if e.values.shape != (FEATURE_LENGTH,):
-            raise ValueError(
-                f"{e.id!r}: vector has {e.values.size} entries, store format "
-                f"v{VERSION} holds exactly {FEATURE_LENGTH}"
-            )
+    for sid in store._ids:
+        if sid in seen:
+            raise ValueError(f"duplicate id {sid!r} in store")
+        seen.add(sid)
+    store.config.validate()
+    want = (len(store), store.config.length)
+    if store.matrix.shape != want:
+        raise ValueError(
+            f"store matrix has shape {store.matrix.shape}; {len(store)} ids under "
+            f"its config need {want}"
+        )
+
+
+def _pad(pos: int) -> int:
+    return -pos % 8
 
 
 def save_store(store: FeatureStore, path) -> None:
-    """Write a store; raises ValueError on duplicate ids or wrong vector length."""
+    """Write a store in format v2.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so readers (and maps) of the old file keep
+    its bytes and a failed write leaves the old file in place.  Raises
+    ValueError on duplicate ids or a matrix that does not fit the config.
+    """
     _check_store(store)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, store.version, len(store.entries)))
-        for e in store.entries:
-            idb = e.id.encode("utf-8")
-            fh.write(_IDLEN.pack(len(idb)))
-            fh.write(idb)
-            fh.write(np.ascontiguousarray(e.values, dtype="<f8").tobytes())
+    cfg = store.config
+    table = bytearray()
+    for sid in store._ids:
+        idb = sid.encode("utf-8")
+        if len(idb) > 0xFFFF:
+            raise ValueError(f"id of {len(idb)} bytes is longer than 65535: {sid[:40]!r}...")
+        table += _IDLEN.pack(len(idb)) + idb
+    head = _HEADER.pack(MAGIC, VERSION, len(store)) + _GEOMETRY.pack(
+        cfg.comograd_bins, cfg.phog_bins, cfg.phog_levels, cfg.image_size, cfg.length
+    )
+    table += bytes(_pad(len(head) + len(table)))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(head)
+            fh.write(table)
+            fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_id(buf, pos: int, end: int, path) -> tuple[str, int]:
+    """Decode the id record at ``buf[pos:end]``; returns (id, next pos)."""
+    if pos + _IDLEN.size > end:
+        raise CorruptEntryError(f"{path}: truncated id")
+    (n,) = _IDLEN.unpack_from(buf, pos)
+    pos += _IDLEN.size
+    if pos + n > end:
+        raise CorruptEntryError(f"{path}: truncated id")
+    try:
+        return str(buf[pos : pos + n], "utf-8"), pos + n
+    except UnicodeDecodeError as exc:
+        raise CorruptEntryError(f"{path}: id is not UTF-8 ({exc})") from None
+
+
+def _check_unique(ids: list[str], path) -> None:
+    if len(set(ids)) != len(ids):
+        raise CorruptEntryError(f"{path}: duplicate ids")
+
+
+def _load_v1(fh, path, count: int) -> FeatureStore:
+    blob = fh.read()
+    # every entry takes at least an id length and its vector
+    if count * (_IDLEN.size + _V1_VEC_BYTES) > len(blob):
+        raise CorruptEntryError(f"{path}: truncated entry")
+    matrix = np.empty((count, FEATURE_LENGTH))
+    ids: list[str] = []
+    pos = 0
+    for k in range(count):
+        sid, pos = _read_id(blob, pos, len(blob), path)
+        if pos + _V1_VEC_BYTES > len(blob):
+            raise CorruptEntryError(f"{path}: truncated entry")
+        matrix[k] = np.frombuffer(blob, dtype="<f8", count=FEATURE_LENGTH, offset=pos)
+        pos += _V1_VEC_BYTES
+        ids.append(sid)
+    if pos != len(blob):
+        raise CorruptEntryError(f"{path}: trailing bytes after last entry")
+    _check_unique(ids, path)
+    return FeatureStore(ids=ids, matrix=matrix, version=1)
+
+
+def _load_v2(fh, path, count: int) -> FeatureStore:
+    raw = fh.read(_GEOMETRY.size)
+    if len(raw) < _GEOMETRY.size:
+        raise CorruptEntryError(f"{path}: truncated header")
+    *geometry, length = _GEOMETRY.unpack(raw)
+    config = FeatureConfig(*geometry)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise CorruptEntryError(f"{path}: bad config in header ({exc})") from None
+    if length != config.length:
+        raise CorruptEntryError(
+            f"{path}: vector length {length}, but its config gives {config.length}"
+        )
+    # The matrix ends the file, so its offset follows from the file size;
+    # the id table and its padding must end exactly there.
+    start = _HEADER.size + _GEOMETRY.size
+    size = os.fstat(fh.fileno()).st_size
+    offset = size - count * length * 8
+    if offset < start + count * _IDLEN.size:
+        raise CorruptEntryError(f"{path}: file too short for {count} entries")
+    # A private (copy-on-write) map: the values are writable, writes stay
+    # in this process, and a store file replaced by save_store keeps the
+    # old bytes mapped.
+    buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    ids: list[str] = []
+    pos = start
+    for _ in range(count):
+        sid, pos = _read_id(buf, pos, offset, path)
+        ids.append(sid)
+    _check_unique(ids, path)
+    if pos + _pad(pos) != offset or any(buf[pos:offset]):
+        raise CorruptEntryError(f"{path}: id table does not end at the matrix")
+    matrix = np.frombuffer(buf, dtype="<f8", count=count * length, offset=offset)
+    return FeatureStore(
+        ids=ids, matrix=matrix.reshape(count, length), config=config, version=2
+    )
 
 
 def load_store(path) -> FeatureStore:
-    """Read a store back, verifying magic, version and entry framing."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: not a feature store")
-    if len(blob) < _HEADER.size:
-        raise CorruptEntryError(f"{path}: truncated header")
-    _, version, count = _HEADER.unpack_from(blob, 0)
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported store version {version}")
-    pos = _HEADER.size
-    entries: list[FeatureVector] = []
-    for _ in range(count):
-        if pos + _IDLEN.size > len(blob):
-            raise CorruptEntryError(f"{path}: truncated id length")
-        (idlen,) = _IDLEN.unpack_from(blob, pos)
-        pos += _IDLEN.size
-        if pos + idlen + _VEC_BYTES > len(blob):
-            raise CorruptEntryError(f"{path}: truncated entry")
-        sid = blob[pos : pos + idlen].decode("utf-8")
-        pos += idlen
-        values = np.frombuffer(blob[pos : pos + _VEC_BYTES], dtype="<f8").astype(
-            np.float64
-        )
-        pos += _VEC_BYTES
-        entries.append(FeatureVector(id=sid, values=values))
-    if pos != len(blob):
-        raise CorruptEntryError(f"{path}: trailing bytes after last entry")
-    return FeatureStore(version=version, entries=entries)
+    """Read a store (format v1 or v2), verifying magic, version and framing."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if head[: len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"{path}: not a feature store")
+        if len(head) < _HEADER.size:
+            raise CorruptEntryError(f"{path}: truncated header")
+        _, version, count = _HEADER.unpack(head)
+        if version == 1:
+            return _load_v1(fh, path, count)
+        if version == VERSION:
+            return _load_v2(fh, path, count)
+    raise UnsupportedVersionError(f"{path}: unsupported store version {version}")
 
 
 def export_csv(store: FeatureStore, path) -> None:
@@ -126,12 +256,12 @@ def export_csv(store: FeatureStore, path) -> None:
             fh.write(e.id + "," + ",".join(format(v, ".17g") for v in e.values) + "\n")
 
 
-def _extract_file(path: str, structure_id: str, kwargs: dict) -> tuple:
+def _extract_file(path: str, structure_id: str, config: FeatureConfig) -> tuple:
     """Worker: returns (id, values, None) or (id, None, reason)."""
     try:
         text = Path(path).read_text(errors="replace")
         trace = parse_structure(text, structure_id=structure_id)
-        return structure_id, extract_features(trace, **kwargs).values, None
+        return structure_id, extract_features(trace, config).values, None
     except OSError:
         raise
     except Exception as exc:  # parse or shape problems: skip and report
@@ -143,7 +273,7 @@ def ingest_dir(
     labels: dict | None = None,
     jobs: int = 1,
     report=None,
-    **extract_kwargs,
+    config: FeatureConfig = FeatureConfig(),
 ) -> FeatureStore:
     """Extract descriptors for every structure file under a directory.
 
@@ -151,7 +281,8 @@ def ingest_dir(
     resulting store bytes are identical across runs and across ``jobs``
     settings.  Files that fail to parse are skipped and reported through
     ``report(name, status, detail)``, as are duplicate stems and (when a
-    label map is given) files without a label.
+    label map is given) files without a label.  Descriptors are built
+    with ``config``, which the store records.
 
     Raises :class:`EmptyCorpusError` when nothing survives.
     """
@@ -176,12 +307,12 @@ def ingest_dir(
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_extract_file, str(p), sid, extract_kwargs)
+                pool.submit(_extract_file, str(p), sid, config)
                 for p, sid in tasks
             ]
             results = [f.result() for f in futures]
     else:
-        results = [_extract_file(str(p), sid, extract_kwargs) for p, sid in tasks]
+        results = [_extract_file(str(p), sid, config) for p, sid in tasks]
     entries: list[FeatureVector] = []
     for sid, values, err in results:
         if err is None:
@@ -192,4 +323,4 @@ def ingest_dir(
     if not entries:
         raise EmptyCorpusError(f"no parseable structure files in {root}")
     entries.sort(key=lambda e: e.id)
-    return FeatureStore(entries=entries)
+    return FeatureStore(entries, config=config)

@@ -14,7 +14,8 @@ an all-zero block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -143,6 +144,55 @@ def phog(
     return hist
 
 
+@dataclass(frozen=True)
+class FeatureConfig:
+    """Geometry of the descriptor pipeline.
+
+    The defaults give the 1024-entry descriptor.  Other values are for
+    experiments; stores record the config their vectors were built with.
+    """
+
+    comograd_bins: int = COMOGRAD_BINS
+    phog_bins: int = PHOG_BINS
+    phog_levels: int = PHOG_LEVELS
+    image_size: int = IMAGE_SIZE
+
+    def validate(self) -> None:
+        """Raise ValueError unless every stage can run with this geometry."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        # bin counts partition the circle into equal angular bins (the
+        # defaults give 22.5- and 40-degree widths)
+        if self.comograd_bins < 1:
+            raise ValueError(f"comograd_bins must be >= 1, got {self.comograd_bins}")
+        if self.phog_bins < 1:
+            raise ValueError(f"phog_bins must be >= 1, got {self.phog_bins}")
+        if self.phog_levels < 0:
+            raise ValueError(f"phog_levels must be >= 0, got {self.phog_levels}")
+        if self.image_size < 2 or self.image_size & (self.image_size - 1):
+            raise ValueError(f"image_size must be a power of two, got {self.image_size}")
+        # compare bit lengths before shifting: levels may come from a file
+        if self.phog_levels >= self.image_size.bit_length():
+            raise ValueError(
+                f"image_size {self.image_size} not divisible by 2^{self.phog_levels}"
+            )
+
+    @property
+    def phog_length(self) -> int:
+        """Pyramid block length: 765 values padded to 768 for the default
+        bins and levels, the raw concatenation otherwise."""
+        if (self.phog_bins, self.phog_levels) == (PHOG_BINS, PHOG_LEVELS):
+            return PHOG_LENGTH
+        return phog_cells(self.phog_levels) * self.phog_bins
+
+    @property
+    def length(self) -> int:
+        """Entries per descriptor: co-occurrence block plus pyramid block."""
+        return self.comograd_bins**2 + self.phog_length
+
+
 @dataclass
 class FeatureVector:
     """Fixed-length descriptor: co-occurrence block then pyramid block."""
@@ -151,21 +201,16 @@ class FeatureVector:
     values: np.ndarray
 
 
-def extract_features(
-    trace: CaTrace,
-    comograd_bins: int = COMOGRAD_BINS,
-    phog_bins: int = PHOG_BINS,
-    phog_levels: int = PHOG_LEVELS,
-    image_size: int = IMAGE_SIZE,
-) -> FeatureVector:
+def extract_features(trace: CaTrace, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
     """Full pipeline from CA trace to descriptor.
 
-    distance matrix -> grayscale -> resize to image_size -> gradient field
-    -> co-occurrence block + pyramid block.  With default parameters the
-    result always has exactly 1024 entries, independent of protein size.
+    distance matrix -> grayscale -> resize to config.image_size -> gradient
+    field -> co-occurrence block + pyramid block.  The result has
+    ``config.length`` entries (1024 by default), independent of protein
+    size.
     """
     gray = to_gray(distance_matrix(trace))
-    img = normalize_size(gray, image_size)
+    img = normalize_size(gray, config.image_size)
     # A distance-matrix image is symmetric, and resampling with one weight
     # matrix shared by rows and columns keeps it so in exact arithmetic;
     # restore the symmetry the floating-point matmul loses.  Diagonal
@@ -174,12 +219,11 @@ def extract_features(
     # same structure.
     img = (img + img.T) / 2.0
     field = gradient_field(img)
-    co = comograd(quantize_orientations(field, comograd_bins))
-    canonical = (phog_bins, phog_levels) == (PHOG_BINS, PHOG_LEVELS)
+    co = comograd(quantize_orientations(field, config.comograd_bins))
     ph = phog(
         field,
-        bins=phog_bins,
-        levels=phog_levels,
-        length=PHOG_LENGTH if canonical else None,
+        bins=config.phog_bins,
+        levels=config.phog_levels,
+        length=config.phog_length,
     )
     return FeatureVector(id=trace.id, values=np.concatenate([co, ph]))

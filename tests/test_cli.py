@@ -23,6 +23,8 @@ from comogphog.scoring import score, search
 from comogphog.structure_io import parse_structure, read_label_table
 from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace, transform
 
+STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
+
 HELIX_IDS = [f"hel{i}" for i in range(4)]
 EXT_IDS = [f"ext{i}" for i in range(4)]
 
@@ -130,6 +132,10 @@ def test_extract_missing_dir_exits_1(tmp_path, capsys):
         {"image_size": 100},
         {"eval_bins": 1},
         {"bins_comograd": 8},  # valid geometry but not the store's vector length
+        {"image_size": "128"},
+        {"image_size": 64.0},
+        {"eval_bins": 2.5},
+        [1, 2],
     ],
 )
 def test_extract_rejects_bad_config(corpus, tmp_path, capsys, cfg):
@@ -238,6 +244,66 @@ def test_search_rejects_non_store(corpus, tmp_path, capsys):
     code, _, stderr = run(capsys, "search", fake, pdb_dir / "hel0.pdb")
     assert code == 1
     assert "error" in stderr
+
+
+def test_search_uses_the_store_geometry(corpus, tmp_path, capsys):
+    # a store built at 64 pixels is searched with 64-pixel query features
+    # even when search gets no --config
+    pdb_dir, _ = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"image_size": 64}')
+    store = tmp_path / "small.cmg"
+    assert run(capsys, "extract", pdb_dir, store, "--config", cfg)[0] == 0
+    code, stdout, stderr = run(capsys, "search", store, pdb_dir / "ext3.pdb")
+    assert code == 0
+    assert stdout.splitlines()[0] == "1,ext3,0"
+    assert "image_size=64" in stderr
+    code, stdout, _ = run(capsys, "search", store, pdb_dir / "ext3.pdb", "--config", cfg)
+    assert code == 0 and stdout.splitlines()[0] == "1,ext3,0"
+
+
+def test_search_refuses_other_geometry(corpus, store_path, tmp_path, capsys):
+    pdb_dir, _ = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"image_size": 64}')
+    code, stdout, stderr = run(
+        capsys, "search", store_path, pdb_dir / "hel0.pdb", "--config", cfg
+    )
+    assert code == 1 and stdout == ""
+    assert "image_size=64" in stderr and "image_size=128" in stderr
+
+
+def test_search_v1_store_and_v2_resave_print_the_same(tmp_path, capsys):
+    # the checked-in v1 store holds this trace under the id "hélice"
+    query = tmp_path / "hélice.pdb"
+    query.write_text(ca_trace_to_pdb(helix_trace(40, "hélice", jitter=0.15, seed=11)))
+    resaved = tmp_path / "v2.cmg"
+    save_store(load_store(STORE_V1), resaved)
+    code1, out1, _ = run(capsys, "search", STORE_V1, query)
+    code2, out2, _ = run(capsys, "search", resaved, query)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.splitlines()[0] == "1,hélice,0" and len(out1.splitlines()) == 5
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_search_bad_k_exits_2_before_loading(tmp_path, capsys, k):
+    code, stdout, stderr = run(
+        capsys, "search", tmp_path / "absent.cmg", tmp_path / "q.pdb", "--k", k
+    )
+    assert code == 2 and stdout == ""
+    assert f"--k must be >= 1, got {k}" in stderr
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate"])
+def test_bad_jobs_exits_2_before_loading(tmp_path, capsys, command):
+    argv = [command, tmp_path / "absent", tmp_path / "out", "--jobs", 0]
+    if command == "evaluate":
+        argv += ["--labels", tmp_path / "absent.tsv"]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert "--jobs must be >= 1, got 0" in stderr
+    assert not (tmp_path / "out").exists()
 
 
 # --- evaluate ---

@@ -1,3 +1,8 @@
+import os
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +19,13 @@ from comogphog.featuredb import (
     load_store,
     save_store,
 )
-from comogphog.features import FEATURE_LENGTH, FeatureVector
+from comogphog.features import FEATURE_LENGTH, FeatureConfig, FeatureVector, extract_features
+from comogphog.structure_io import parse_structure
 from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace
+
+STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
+# the smallest geometry: one co-occurrence bin, one level-0 pyramid bin
+TINY = FeatureConfig(comograd_bins=1, phog_bins=1, phog_levels=0, image_size=2)
 
 
 def make_store(ids, seed=0):
@@ -191,3 +201,190 @@ def test_ingest_deterministic_across_runs_and_jobs(corpus, tmp_path):
     save_store(ingest_dir(corpus, jobs=2), paths[2])
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_ingest_records_config(corpus):
+    config = FeatureConfig(image_size=64)
+    store = ingest_dir(corpus, config=config)
+    assert store.config == config
+    trace = parse_structure((corpus / "helA.pdb").read_text(), structure_id="helA")
+    assert store.entries[0].values.tobytes() == extract_features(trace, config).values.tobytes()
+
+
+# --- format v2 ---
+
+
+def test_v2_layout(tmp_path):
+    ids = ["a", "bé"]
+    store = make_store(ids, seed=5)
+    path = tmp_path / "s.cmg"
+    save_store(store, path)
+    blob = path.read_bytes()
+    head = struct.pack("<4sIIIIIII", b"CMGP", 2, 2, 16, 9, 3, 128, 1024)
+    table = b"\x01\x00a" + b"\x03\x00b\xc3\xa9"
+    pad = bytes(-(len(head) + len(table)) % 8)
+    assert blob == head + table + pad + store.matrix.astype("<f8").tobytes()
+
+
+def test_v2_records_config(tmp_path):
+    rng = np.random.default_rng(1)
+    config = FeatureConfig(comograd_bins=4, phog_bins=3, phog_levels=0, image_size=32)
+    store = FeatureStore(ids=["x", "y"], matrix=rng.random((2, config.length)), config=config)
+    path = tmp_path / "s.cmg"
+    save_store(store, path)
+    back = load_store(path)
+    assert back.config == config and back.version == 2
+    assert back.ids() == ["x", "y"]
+    assert back.matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_loaded_matrix_is_a_writable_plain_array(tmp_path):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["a", "b"], seed=2), path)
+    on_disk = path.read_bytes()
+    store = load_store(path)
+    assert type(store.matrix) is np.ndarray
+    store.entries[1].values[3] = -1.5  # copy-on-write: reaches the matrix, not the file
+    assert store.matrix[1, 3] == -1.5
+    assert path.read_bytes() == on_disk
+    save_store(store, tmp_path / "t.cmg")
+    assert load_store(tmp_path / "t.cmg").matrix[1, 3] == -1.5
+
+
+def test_save_rejects_matrix_not_fitting_config(tmp_path):
+    store = FeatureStore(ids=["a"], matrix=np.zeros((1, 5)), config=TINY)
+    with pytest.raises(ValueError):
+        save_store(store, tmp_path / "s.cmg")
+    bad = FeatureConfig(comograd_bins=1, phog_bins=1, phog_levels=0, image_size=3)
+    with pytest.raises(ValueError):
+        save_store(FeatureStore(ids=["a"], matrix=np.zeros((1, 2)), config=bad), tmp_path / "s.cmg")
+
+
+def _v1_reference(blob: bytes):
+    """Independent reader of format v1: (ids, per-entry value bytes)."""
+    magic, version, count = struct.unpack_from("<4sII", blob, 0)
+    assert (magic, version) == (b"CMGP", 1)
+    pos, ids, values = 12, [], []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", blob, pos)
+        ids.append(blob[pos + 2 : pos + 2 + n].decode("utf-8"))
+        pos += 2 + n
+        values.append(blob[pos : pos + 8 * FEATURE_LENGTH])
+        pos += 8 * FEATURE_LENGTH
+    assert pos == len(blob)
+    return ids, values
+
+
+def test_reads_checked_in_v1_store(tmp_path):
+    # written by the format-v1 save_store (extract over five synthetic traces)
+    ids, values = _v1_reference(STORE_V1.read_bytes())
+    assert ids == ["brin_β", "helix", "hélice", "marche_日本", "strand"]
+    store = load_store(STORE_V1)
+    assert store.version == 1 and store.config == FeatureConfig()
+    assert store.ids() == ids
+    assert [row.tobytes() for row in store.matrix] == values
+    resaved = tmp_path / "v2.cmg"
+    save_store(store, resaved)
+    again = load_store(resaved)
+    assert again.version == 2 and again.ids() == ids
+    assert again.matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_non_utf8_id_is_corrupt(tmp_path):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["ab"]), path)
+    blob = path.read_bytes()
+    at = blob.index(b"\x02\x00ab") + 2
+    path.write_bytes(blob[:at] + b"\xff\xfe" + blob[at + 2 :])
+    with pytest.raises(CorruptEntryError):
+        load_store(path)
+
+
+def test_duplicate_ids_on_disk_are_corrupt(tmp_path):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["ab", "ac"]), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\x02\x00ac", b"\x02\x00ab"))
+    with pytest.raises(CorruptEntryError):
+        load_store(path)
+
+
+def _fuzz_base() -> bytes:
+    store = FeatureStore(
+        ids=["α", "b", "日本語"],
+        matrix=np.array([[0.25, 0.75], [5e-324, 1.0], [0.0, -2.0]]),
+        config=TINY,
+    )
+    with tempfile.TemporaryDirectory() as d:
+        save_store(store, Path(d) / "s.cmg")
+        return (Path(d) / "s.cmg").read_bytes()
+
+
+FUZZ_BASE = _fuzz_base()
+STORE_ERRORS = (BadMagicError, UnsupportedVersionError, CorruptEntryError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, len(FUZZ_BASE) - 1), st.just(0)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24), st.just(0)),
+        st.tuples(
+            st.just("flip"), st.integers(0, len(FUZZ_BASE) - 1), st.integers(1, 255)
+        ),
+    )
+)
+def test_damaged_v2_loads_or_raises_documented_error(tmp_path_factory, damage):
+    kind, arg, mask = damage
+    blob = bytearray(FUZZ_BASE)
+    if kind == "truncate":
+        del blob[arg:]
+    elif kind == "extend":
+        blob += arg
+    else:
+        blob[arg] ^= mask
+    path = tmp_path_factory.mktemp("fuzz") / "damaged.cmg"
+    path.write_bytes(bytes(blob))
+    try:
+        store = load_store(path)
+    except STORE_ERRORS:
+        return
+    # only a changed value (or a still-valid id) can go unnoticed
+    assert kind == "flip"
+    assert store.matrix.shape == (3, TINY.length)
+    assert len(set(store.ids())) == 3
+
+
+# --- atomic save ---
+
+
+def test_save_over_a_loaded_store_keeps_its_map(tmp_path):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["a", "b", "c"], seed=1), path)
+    mapped = load_store(path)
+    before = mapped.matrix.tobytes()
+    save_store(make_store(["z"], seed=2), path)
+    assert mapped.matrix.tobytes() == before
+    assert mapped.ids() == ["a", "b", "c"]
+    assert load_store(path).ids() == ["z"]
+
+
+def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["a"], seed=1), path)
+    old = path.read_bytes()
+    # a matrix that fails to convert after the header is written
+    broken = FeatureStore(ids=["a"], matrix=np.array([["x", "y"]], dtype=object), config=TINY)
+    with pytest.raises(ValueError):
+        save_store(broken, path)
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["s.cmg"]
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_store(make_store(["b"], seed=2), path)
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["s.cmg"]

@@ -8,6 +8,7 @@ from comogphog.features import (
     COMOGRAD_LENGTH,
     FEATURE_LENGTH,
     PHOG_LENGTH,
+    FeatureConfig,
     comograd,
     extract_features,
     phog,
@@ -241,3 +242,55 @@ def test_extract_matches_golden_walk(n):
     golden = np.array([float(v) for v in data["values"]])
     assert golden.shape == fv.values.shape == (data["length"],)
     assert np.abs(fv.values - golden).max() <= 1e-9
+
+
+# --- FeatureConfig ---
+
+
+def test_config_length_default_is_the_padded_descriptor():
+    assert FeatureConfig().length == FEATURE_LENGTH == 1024
+    assert FeatureConfig(image_size=64).length == FEATURE_LENGTH
+    FeatureConfig().validate()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FeatureConfig(),
+        FeatureConfig(image_size=64),
+        FeatureConfig(comograd_bins=8),
+        FeatureConfig(phog_bins=8, phog_levels=2),  # raw block, no padding
+        FeatureConfig(comograd_bins=4, phog_bins=3, phog_levels=0, image_size=32),
+    ],
+)
+def test_config_length_matches_extracted_vectors(config):
+    values = extract_features(random_walk_trace(40, "w40", seed=4), config).values
+    assert values.shape == (config.length,)
+    ph = values[config.comograd_bins**2 :]
+    assert ph.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_config_keyword_defaults_match_explicit_default():
+    t = random_walk_trace(70, "w70", seed=5)
+    assert np.array_equal(extract_features(t).values, extract_features(t, FeatureConfig()).values)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"comograd_bins": 0},
+        {"phog_bins": 0},
+        {"phog_levels": -1},
+        {"image_size": 100},
+        {"image_size": 1},
+        {"image_size": 8, "phog_levels": 4},
+        # a level count read from a damaged file must fail fast, not
+        # build a 2**(2**32) shift
+        {"phog_levels": 2**32 - 1},
+        {"image_size": 128.0},
+        {"comograd_bins": True},
+    ],
+)
+def test_config_validate_rejects(bad):
+    with pytest.raises(ValueError):
+        FeatureConfig(**bad).validate()

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from comogphog.featuredb import FeatureStore, load_store, save_store
 from comogphog.features import FeatureVector
 from comogphog.scoring import LengthMismatchError, ScoreResult, score, search
 
@@ -93,3 +95,79 @@ def test_search_argument_validation():
         search([], db[0], 1)
     with pytest.raises(ValueError):
         search(db, db[0], 0)
+
+
+def test_search_accepts_a_store():
+    rng = np.random.default_rng(10)
+    db = random_vectors(30, rng)
+    q = fv("q", rng.random(1024))
+    assert search(FeatureStore(db), q, 7) == search(db, q, 7)
+    with pytest.raises(LengthMismatchError):
+        search(FeatureStore(db), fv("short", np.zeros(1000)), 3)
+
+
+def adversarial_sets():
+    """(name, vectors, query) cases for the exact-distance oracle."""
+    rng = np.random.default_rng(11)
+    base = rng.random((300, 1024))
+    yield "random", base, rng.random(1024)
+    dup = base[rng.integers(0, 20, size=300)]
+    yield "duplicates", dup, dup[0].copy()
+    denormal = rng.integers(0, 50, size=(300, 1024)) * 5e-324
+    yield "denormals", denormal, denormal[3].copy()
+    huge = rng.uniform(-1.0, 1.0, size=(300, 1024)) * 1e150
+    yield "near 1e150", huge, huge[7] * 0.5
+    ulp = np.repeat(base[:1], 300, axis=0)
+    for r in range(1, 300):
+        c = rng.integers(0, 1024, size=r % 7 + 1)
+        ulp[r, c] = np.nextafter(ulp[r, c], np.inf if r % 2 else -np.inf)
+    yield "one ulp apart", ulp, base[0].copy()
+
+
+@pytest.mark.parametrize("case", list(adversarial_sets()), ids=lambda c: c[0])
+def test_search_distances_equal_score_bit_for_bit(case):
+    _, vectors, query = case
+    db = [fv(f"e{i:03d}", v) for i, v in enumerate(vectors)]
+    q = fv("q", query)
+    hits = search(db, q, len(db))
+    assert len(hits) == len(db)
+    by_id = {e.id: e for e in db}
+    for h in hits:
+        assert float.hex(h.distance) == float.hex(score(by_id[h.target_id], q))
+    assert [(h.distance, h.target_id) for h in hits] == sorted((score(e, q), e.id) for e in db)
+
+
+def test_search_ties_straddling_k():
+    rng = np.random.default_rng(12)
+    shared = rng.random(1024)
+    vectors = [shared] * 25  # exact ties
+    # sign flips of one vector are different vectors at exactly one distance
+    # from the zero query
+    flips = [shared * np.where(rng.random(1024) < 0.5, -1.0, 1.0) for _ in range(25)]
+    vectors += flips + list(rng.random((30, 1024)) * 0.1)
+    names = [f"n{k:03d}" for k in rng.permutation(len(vectors))]
+    db = [fv(n, v) for n, v in zip(names, vectors)]
+    for q in (fv("zero", np.zeros(1024)), fv("near", shared + 1e-3)):
+        full = sorted((score(e, q), e.id) for e in db)
+        for k in range(1, len(db) + 2):
+            assert [(h.distance, h.target_id) for h in search(db, q, k)] == full[:k]
+
+
+def test_load_and_search_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(13)
+    n = 5000
+    store = FeatureStore(ids=[f"d{i:05d}" for i in range(n)], matrix=rng.random((n, 1024)))
+    path = tmp_path / "big.cmg"
+    save_store(store, path)
+    del store
+    q = fv("q", rng.random(1024))
+    tracemalloc.start()
+    try:
+        hits = search(load_store(path), q, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == 10
+    # the 41 MB matrix is mapped, not copied; one entry list of objects
+    # per row took 79 MB
+    assert peak <= 8 * 2**20
