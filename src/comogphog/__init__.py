@@ -34,9 +34,11 @@ from .featuredb import (
 )
 from .features import (
     FEATURE_LENGTH,
+    MAX_RESIDUES,
     FeatureConfig,
     FeatureVector,
     QuantizedOrientations,
+    TooManyResiduesError,
     comograd,
     extract_features,
     phog,
@@ -70,12 +72,14 @@ __all__ = [
     "FeatureStore",
     "FeatureVector",
     "GradientField",
+    "MAX_RESIDUES",
     "PairScores",
     "Polarity",
     "QuantizedOrientations",
     "ScopLabel",
     "ScoreResult",
     "ScoredPair",
+    "TooManyResiduesError",
     "auc",
     "bicubic_resize",
     "comograd",

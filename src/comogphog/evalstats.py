@@ -33,6 +33,10 @@ DEFAULT_EVAL_BINS = 200
 _CHUNK = 8192
 # pairs per distance block: keeps the (block, 1024) temporaries in cache
 _BLOCK = 32
+# fewest pairs scored in a process pool when jobs > 1.  Timed in fresh
+# processes on a 2-core VM, two workers were slower than one process at up
+# to 151k pairs (pool start-up) and faster from 211k on.
+_POOL_MIN_PAIRS = 200_000
 
 
 class DegenerateRangeError(ValueError):
@@ -404,7 +408,8 @@ def score_pairs(
 
     All n*(n-1)/2 unordered pairs by default; ``sample`` draws that many
     pairs with a seeded deterministic sampler.  Entries are paired in id
-    order and results are identical for any ``jobs`` setting.
+    order and results are identical for any ``jobs`` setting; ``jobs`` > 1
+    starts a process pool only from 200,000 pairs on.
     """
     ids, mat = store.ids(), store.matrix
     if ids != sorted(ids):
@@ -425,7 +430,7 @@ def score_pairs(
     else:
         ks = np.arange(total, dtype=np.int64)
     i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
-    if jobs > 1 and len(i) > _CHUNK:
+    if jobs > 1 and len(i) >= _POOL_MIN_PAIRS:
         units = [(i[s : s + _CHUNK], j[s : s + _CHUNK]) for s in range(0, len(i), _CHUNK)]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_pair_worker, initargs=(mat,)

@@ -31,11 +31,20 @@ COMOGRAD_LENGTH = COMOGRAD_BINS * COMOGRAD_BINS  # 256
 PHOG_LENGTH = 768  # padded pyramid block; see phog()
 FEATURE_LENGTH = COMOGRAD_LENGTH + PHOG_LENGTH  # 1024
 
+# Longest trace extract_features accepts.  Extraction holds the n x n
+# distance image plus two (p, n) resampling arrays, p the next power of
+# two >= n: about (n*n + 2*p*n) * 8 bytes, some 400 MB at this cap.
+MAX_RESIDUES = 4096
+
 # gradient magnitudes at or below this are treated as orientation-free
 MAGNITUDE_EPS = 1e-12
 
 # ordered neighbor offsets (row, col): right and down
 _CO_OFFSETS = ((0, 1), (1, 0))
+
+
+class TooManyResiduesError(ValueError):
+    """A trace is longer than :data:`MAX_RESIDUES` CA atoms."""
 
 
 def phog_cells(levels: int = PHOG_LEVELS) -> int:
@@ -207,8 +216,13 @@ def extract_features(trace: CaTrace, config: FeatureConfig = FeatureConfig()) ->
     distance matrix -> grayscale -> resize to config.image_size -> gradient
     field -> co-occurrence block + pyramid block.  The result has
     ``config.length`` entries (1024 by default), independent of protein
-    size.
+    size.  A trace of more than :data:`MAX_RESIDUES` CA atoms raises
+    :class:`TooManyResiduesError` before any image is built.
     """
+    if len(trace) > MAX_RESIDUES:
+        raise TooManyResiduesError(
+            f"{trace.id!r} has {len(trace)} CA atoms, more than the {MAX_RESIDUES} allowed"
+        )
     gray = to_gray(distance_matrix(trace))
     img = normalize_size(gray, config.image_size)
     # A distance-matrix image is symmetric, and resampling with one weight

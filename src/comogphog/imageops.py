@@ -15,6 +15,9 @@ import numpy as np
 
 WORKING_SIZE = 128
 
+# upsampled rows per block of normalize_size's second resampling product
+_BLOCK_ROWS = 256
+
 
 class OddDimensionError(ValueError):
     """Haar downsampling needs even height and width."""
@@ -97,20 +100,29 @@ def haar_downsample(img: np.ndarray) -> np.ndarray:
     h, w = img.shape
     if h % 2 or w % 2:
         raise OddDimensionError(f"dimensions must be even, got {h}x{w}")
-    a = img[0::2, 0::2]
-    b = img[0::2, 1::2]
-    c = img[1::2, 0::2]
-    d = img[1::2, 1::2]
-    return (a + b + c + d) / 4.0
+    # (a + b + c + d) / 4 in one buffer: the same operations in the same order
+    out = img[0::2, 0::2] + img[0::2, 1::2]
+    out += img[1::2, 0::2]
+    out += img[1::2, 1::2]
+    out /= 4.0
+    return out
 
 
 def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     """Bring a square image to size x size.
 
-    Inputs smaller than the target are bicubic-upsampled directly; an input
-    already at the target passes through unchanged; larger inputs are
-    bicubic-resized up to the next power of two and then Haar-halved down to
-    the target.  ``size`` must be a power of two.
+    A power-of-two input at or above the target is Haar-halved down to it
+    (and passes through unchanged at the target).  Any other input is
+    bicubic-resized to p x p, p = max(size, next power of two >= n), and
+    then Haar-halved down to the target; for n < size that is one direct
+    bicubic resize.  ``size`` must be a power of two.
+
+    The p x p image is never built.  The first resampling product
+    ``w @ img`` is computed whole (row-blocking it changes low bits at
+    some lengths); the second, ``@ w.T``, runs over blocks of whole 2x2
+    Haar groups, each clamped and halved on its own, so the result has the
+    same bytes as ``haar^k(bicubic_resize(img, p, p))`` with peak memory
+    (n*n + 2*p*n)*8 bytes counting the input.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
@@ -120,14 +132,23 @@ def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     n = img.shape[0]
     if n < 2:
         raise ValueError("image side must be >= 2")
-    if n < size:
-        return bicubic_resize(img, size, size)
-    if n == size:
-        return img
-    p = 1 << (n - 1).bit_length()  # smallest power of two >= n
-    out = img if n == p else bicubic_resize(img, p, p)
-    while out.shape[0] > size:
-        out = haar_downsample(out)
+    p = max(size, 1 << (n - 1).bit_length())  # smallest power of two >= n, size
+    if n == p:
+        out = img
+        while out.shape[0] > size:
+            out = haar_downsample(out)
+        return out
+    f = p // size  # upsampled rows per output row
+    w = _resample_weights(n, p)
+    half = w @ img
+    out = np.empty((size, size))
+    rows = max(1, _BLOCK_ROWS // f)
+    for r0 in range(0, size, rows):
+        blk = half[r0 * f : (r0 + rows) * f] @ w.T
+        np.clip(blk, 0.0, 1.0, out=blk)
+        while blk.shape[1] > size:
+            blk = haar_downsample(blk)
+        out[r0 : r0 + rows] = blk
     return out
 
 

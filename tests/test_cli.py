@@ -18,10 +18,16 @@ from comogphog.evalstats import (
     score_pairs,
 )
 from comogphog.featuredb import FeatureStore, load_store, save_store
-from comogphog.features import FEATURE_LENGTH, FeatureVector
+from comogphog.features import FEATURE_LENGTH, MAX_RESIDUES, FeatureVector
 from comogphog.scoring import score, search
 from comogphog.structure_io import parse_structure, read_label_table
-from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace, transform
+from comogphog.synthetic import (
+    ca_trace_to_pdb,
+    extended_trace,
+    helix_trace,
+    random_walk_trace,
+    transform,
+)
 
 STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
 
@@ -117,6 +123,41 @@ def test_extract_unparseable_corpus_exits_2(tmp_path, capsys):
     bad.mkdir()
     (bad / "junk.pdb").write_text("not a structure\n")
     assert run(capsys, "extract", bad, tmp_path / "out.cmg")[0] == 2
+
+
+@pytest.fixture(scope="module")
+def too_long_pdb(tmp_path_factory):
+    """A PDB file one residue over the extraction cap."""
+    path = tmp_path_factory.mktemp("long") / "long.pdb"
+    path.write_text(ca_trace_to_pdb(random_walk_trace(MAX_RESIDUES + 1, "long", seed=3)))
+    return path
+
+
+def test_extract_skips_a_trace_over_the_residue_cap(corpus, too_long_pdb, tmp_path, capsys):
+    pdb_dir, _ = corpus
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "hel0.pdb").write_text((pdb_dir / "hel0.pdb").read_text())
+    (mixed / "long.pdb").write_text(too_long_pdb.read_text())
+    out = tmp_path / "mixed.cmg"
+    code, _, stderr = run(capsys, "extract", mixed, out)
+    assert code == 0
+    assert f"skip long: TooManyResiduesError: 'long' has {MAX_RESIDUES + 1} CA atoms" in stderr
+    assert load_store(out).ids() == ["hel0"]
+
+
+def test_search_and_score_refuse_a_trace_over_the_residue_cap(
+    corpus, store_path, too_long_pdb, capsys
+):
+    pdb_dir, _ = corpus
+    for argv in (
+        ("search", store_path, too_long_pdb),
+        ("score", pdb_dir / "hel0.pdb", too_long_pdb),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert f"error: 'long' has {MAX_RESIDUES + 1} CA atoms" in stderr
 
 
 def test_extract_missing_dir_exits_1(tmp_path, capsys):

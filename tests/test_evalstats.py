@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comogphog import evalstats
 from comogphog.evalstats import (
     ConfusionCounts,
     DegenerateRangeError,
@@ -360,9 +361,10 @@ def test_score_pairs_jobs_identical(labeled_store):
     assert score_pairs(store, labels) == score_pairs(store, labels, jobs=2)
 
 
-def test_score_pairs_jobs_identical_across_chunks():
-    # enough entries that the pair list spans several work chunks, so the
-    # parallel path really runs
+def test_score_pairs_jobs_identical_across_chunks(monkeypatch):
+    # enough entries that the pair list spans several work chunks, and the
+    # pool threshold lowered so that the parallel path really runs
+    monkeypatch.setattr(evalstats, "_POOL_MIN_PAIRS", 0)
     rng = np.random.default_rng(31)
     n = 135
     label = parse_scop_label("any", "c.2.1.1")
@@ -377,6 +379,43 @@ def test_score_pairs_jobs_identical_across_chunks():
     parallel = score_pairs(store, labels, jobs=2)
     assert len(serial) == pair_count(n)
     assert serial == parallel
+
+
+class CountingPool(evalstats.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def threshold_store():
+    # just over the pool threshold in pairs, so a sample can straddle it
+    rng = np.random.default_rng(33)
+    n = 633
+    assert pair_count(n) > evalstats._POOL_MIN_PAIRS + 1
+    store = FeatureStore(
+        entries=[FeatureVector(id=f"t{k:03d}", values=rng.random(FEATURE_LENGTH)) for k in range(n)]
+    )
+    sccs = ["a.1.1.1", "a.1.1.2", "b.1.1.1"]
+    labels = {e.id: parse_scop_label(e.id, sccs[k % 3]) for k, e in enumerate(store.entries)}
+    return store, labels
+
+
+@pytest.mark.parametrize("offset,pooled", [(-1, 0), (0, 1), (1, 1)])
+def test_score_pairs_pool_threshold_keeps_bytes(threshold_store, monkeypatch, offset, pooled):
+    store, labels = threshold_store
+    monkeypatch.setattr(evalstats, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "started", 0)
+    sample = evalstats._POOL_MIN_PAIRS + offset
+    serial = score_pairs(store, labels, sample=sample, seed=4)
+    assert CountingPool.started == 0
+    parallel = score_pairs(store, labels, sample=sample, seed=4, jobs=2)
+    assert CountingPool.started == pooled
+    assert len(serial) == len(parallel) == sample
+    assert parallel.score.tobytes() == serial.score.tobytes()
+    assert parallel == serial
 
 
 def test_score_pairs_sampling(labeled_store):
@@ -511,8 +550,9 @@ def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
 
 @pytest.fixture(scope="module")
 def oracle_store():
-    # more pairs than one work unit, so jobs=2 runs the pool; labels spread
-    # over classes, folds, superfamilies and families
+    # more pairs than one work unit, so jobs=2 runs the pool once its size
+    # threshold is lowered; labels spread over classes, folds,
+    # superfamilies and families
     rng = np.random.default_rng(32)
     n = 140
     ids = [f"s{k:03d}" for k in rng.permutation(n)]
@@ -545,7 +585,8 @@ def assert_same_rows(got, expected):
         {"sample": 500, "seed": 2, "level": "superfamily"},
     ],
 )
-def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs):
+def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs, monkeypatch):
+    monkeypatch.setattr(evalstats, "_POOL_MIN_PAIRS", 0)
     store, labels = oracle_store
     got = score_pairs(store, labels, **kwargs)
     kwargs.pop("jobs", None)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from comogphog.features import (
     COMOGRAD_LENGTH,
     FEATURE_LENGTH,
+    MAX_RESIDUES,
     PHOG_LENGTH,
     FeatureConfig,
+    TooManyResiduesError,
     comograd,
     extract_features,
     phog,
@@ -242,6 +245,23 @@ def test_extract_matches_golden_walk(n):
     golden = np.array([float(v) for v in data["values"]])
     assert golden.shape == fv.values.shape == (data["length"],)
     assert np.abs(fv.values - golden).max() <= 1e-9
+
+
+def test_extract_refuses_a_trace_over_the_residue_cap_before_any_image():
+    # 4096 keeps p, the resampled side, at most 4096
+    assert MAX_RESIDUES == 4096
+    assert issubclass(TooManyResiduesError, ValueError)
+    trace = random_walk_trace(MAX_RESIDUES + 1, "long", seed=5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(TooManyResiduesError, match=f"{MAX_RESIDUES + 1} CA atoms"):
+            extract_features(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n distance image alone would be 134 MB
+    assert peak < 1 << 20
 
 
 # --- FeatureConfig ---

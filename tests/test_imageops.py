@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from comogphog.distmat import distance_matrix, to_gray
 from comogphog.imageops import (
     OddDimensionError,
     _resample_weights,
@@ -15,6 +16,7 @@ from comogphog.imageops import (
     haar_downsample,
     normalize_size,
 )
+from comogphog.synthetic import random_walk_trace
 
 
 # --- standalone cubic-convolution oracle (scalar, per output pixel) ---
@@ -173,6 +175,18 @@ def test_resize_peak_memory_600_to_1024():
     assert peak <= 2.5 * p * p * 8
 
 
+def haar_expression(img):
+    """One Haar level as the plain four-term expression (the reference)."""
+    return (img[0::2, 0::2] + img[0::2, 1::2] + img[1::2, 0::2] + img[1::2, 1::2]) / 4.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (6, 4), (64, 64), (130, 258)])
+def test_haar_matches_the_four_term_expression_bytes(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for img in (rng.random(shape), rng.normal(scale=1e3, size=shape)):
+        assert haar_downsample(img).tobytes() == haar_expression(img).tobytes()
+
+
 def test_haar_single_block():
     assert np.array_equal(haar_downsample(np.array([[0.2, 0.4], [0.6, 0.8]])), [[0.5]])
 
@@ -224,6 +238,58 @@ def test_normalize_size_large_input_uses_wavelet_path():
 def test_normalize_size_always_128(n):
     img = np.random.default_rng(n).random((n, n))
     assert normalize_size(img).shape == (128, 128)
+
+
+def normalize_size_dense(img, size=128):
+    """The whole p x p bicubic upsample, then Haar halving (the reference)."""
+    n = img.shape[0]
+    p = max(size, 1 << (n - 1).bit_length())
+    out = bicubic_resize(img, p, p)
+    while out.shape[0] > size:
+        out = haar_expression(out)
+    return out
+
+
+def walk_image(n):
+    return to_gray(distance_matrix(random_walk_trace(n, f"walk{n}", seed=n)))
+
+
+def random_symmetric_image(n):
+    a = np.random.default_rng(n).random((n, n))
+    return (a + a.T) / 2.0
+
+
+# At 128 pixels, lengths on both sides of 256 and 2048, and 262, where
+# computing the first resampling product in 256-row blocks changes low bits
+# of the walk image; then other image sizes, with inputs below and above.
+@pytest.mark.parametrize("make", [walk_image, random_symmetric_image])
+@pytest.mark.parametrize(
+    "size,n",
+    [(128, n) for n in (129, 200, 257, 262, 600, 1000, 1300, 2180)]
+    + [(64, 3), (64, 50), (64, 100), (64, 262), (128, 2), (128, 90), (128, 127)]
+    + [(256, 37), (256, 255), (256, 300), (256, 600)],
+)
+def test_normalize_size_equals_dense_upsample_then_haar_bytes(make, size, n):
+    img = make(n)
+    got = normalize_size(img, size)
+    assert got.shape == (size, size)
+    assert got.tobytes() == normalize_size_dense(img, size).tobytes()
+
+
+def test_normalize_size_peak_memory_2180():
+    n, p = 2180, 4096
+    img = random_symmetric_image(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = normalize_size(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (128, 128)
+    # the weights and the first product are (p, n) each; the (p, p)
+    # upsample alone would be another 1.9 * p * n * 8 bytes
+    assert peak <= 2.3 * p * n * 8
 
 
 def test_normalize_size_rejects_non_square():
