@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(out / "pvalue.csv", "pvalue", pol, pvalue_curve(pairs, pol, args.bins))
+        write_curve_csv(out / "pvalue.csv", "pvalue", pol, pvalue_curve(pairs, args.bins))
         write_curve_csv(out / "mcc.csv", "mcc", pol, [(t, m, len(pairs)) for t, m in curve])
         write_curve_csv(out / "roc.csv", "roc", pol, [(x, y, 0) for x, y in roc])
         print(f"curves written to {out}")

@@ -1,8 +1,18 @@
 """Command-line front end: extract, score, search, evaluate.
 
-Exit codes: 0 success, 1 I/O or data errors, 2 empty corpus or bad
-invocation, 3 missing labels (and evaluation that cannot produce an ROC
-because only one class is present).
+Commands raise; :func:`main` prints ``error: <message>`` on stderr and
+maps the error's type to the exit code, most specific type first:
+
+    3  MissingLabelError: an id has no label
+    2  EmptyCorpusError: extract found no parseable structure file
+    2  UsageError: --jobs, --k or --sample below 1, --eval-bins below 2,
+       a score file without --polarity, or a score file with no data rows
+    1  OSError: a file that cannot be read or written
+    1  ValueError: a bad config or store, unparseable input, a non-finite
+       score, a store built with other geometry, or all scores equal
+
+``evaluate`` also exits 3 when only one class is present: it writes every
+output it can, but no roc.csv, and prints the error.
 """
 
 from __future__ import annotations
@@ -10,17 +20,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evalstats, featuredb
 from .evalstats import Polarity
-from .features import FEATURE_LENGTH, FeatureConfig, extract_features
+from .features import FEATURE_LENGTH, FeatureConfig
 from .scoring import score, search
-from .structure_io import parse_structure, read_label_table
+from .structure_io import read_label_table
 
+
+class UsageError(Exception):
+    """Bad invocation: an option value out of range or a missing option."""
+
+
+# error type -> exit code; the first match wins, so a subclass must
+# come before its base (EmptyCorpusError is a ValueError)
+_EXIT_CODES = (
+    (evalstats.MissingLabelError, 3),
+    (featuredb.EmptyCorpusError, 2),
+    (UsageError, 2),
+    (OSError, 1),
+    (ValueError, 1),
+)
 
 # JSON config key -> FeatureConfig field, in the order the echo prints them
 _FEATURE_KEYS = {
@@ -31,20 +54,8 @@ _FEATURE_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Config:
-    """Pipeline geometry plus the evaluation grid size, with standard values."""
-
-    features: FeatureConfig = FeatureConfig()
-    eval_bins: int = 200
-
-    def validate(self) -> None:
-        self.features.validate()
-        if not isinstance(self.eval_bins, int) or self.eval_bins < 2:
-            raise ValueError(f"eval_bins must be >= 2, got {self.eval_bins}")
-
-
-def _load_config(path: str | None) -> Config:
+def _load_config(path: str | None) -> tuple[FeatureConfig, int]:
+    """Pipeline geometry and evaluation grid size from a JSON file, else the defaults."""
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -52,127 +63,71 @@ def _load_config(path: str | None) -> Config:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     geometry = {field: raw[key] for key, field in _FEATURE_KEYS.items() if key in raw}
-    cfg = Config(FeatureConfig(**geometry), raw.get("eval_bins", Config.eval_bins))
-    cfg.validate()
-    return cfg
+    features = FeatureConfig(**geometry)
+    features.validate()
+    eval_bins = raw.get("eval_bins", evalstats.DEFAULT_EVAL_BINS)
+    if not isinstance(eval_bins, int) or eval_bins < 2:
+        raise ValueError(f"eval_bins must be >= 2, got {eval_bins}")
+    return features, eval_bins
 
 
 def _geometry(features: FeatureConfig) -> str:
     return " ".join(f"{key}={getattr(features, f)}" for key, f in _FEATURE_KEYS.items())
 
 
-def _echo_config(cfg: Config) -> None:
-    print(f"config: {_geometry(cfg.features)} eval_bins={cfg.eval_bins}", file=sys.stderr)
+def _echo_config(features: FeatureConfig, eval_bins: int) -> None:
+    print(f"config: {_geometry(features)} eval_bins={eval_bins}", file=sys.stderr)
 
 
-def _below_one(option: str, value: int | None) -> bool:
-    """Report an option value below 1 (checked before any input is read)."""
-    if value is not None and value < 1:
-        print(f"error: --{option} must be >= 1, got {value}", file=sys.stderr)
-        return True
-    return False
-
-
-def _read_labels(path: str):
-    return read_label_table(Path(path).read_text())
+def _require_at_least(least: int, option: str, value: int | None) -> None:
+    if value is not None and value < least:
+        raise UsageError(f"--{option} must be >= {least}, got {value}")
 
 
 def cmd_extract(args) -> int:
-    if _below_one("jobs", args.jobs):
-        return 2
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _echo_config(cfg)
-    if cfg.features.length != FEATURE_LENGTH:
-        print(
-            f"error: config gives {cfg.features.length}-entry vectors; extract "
-            f"writes the {FEATURE_LENGTH}-entry descriptor",
-            file=sys.stderr,
+    _require_at_least(1, "jobs", args.jobs)
+    features, eval_bins = _load_config(args.config)
+    _echo_config(features, eval_bins)
+    if features.length != FEATURE_LENGTH:
+        raise ValueError(
+            f"config gives {features.length}-entry vectors; extract writes the "
+            f"{FEATURE_LENGTH}-entry descriptor"
         )
-        return 1
-    try:
-        labels = _read_labels(args.labels) if args.labels else None
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    labels = read_label_table(Path(args.labels).read_text()) if args.labels else None
 
     def report(name, status, detail):
         suffix = f": {detail}" if detail else ""
         print(f"{status} {name}{suffix}", file=sys.stderr)
 
-    try:
-        store = featuredb.ingest_dir(
-            args.dir, labels=labels, jobs=args.jobs, report=report, config=cfg.features
-        )
-    except featuredb.EmptyCorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        featuredb.save_store(store, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = featuredb.ingest_dir(
+        args.dir, labels=labels, jobs=args.jobs, report=report, config=features
+    )
+    featuredb.save_store(store, args.out)
     print(f"wrote {len(store)} entries to {args.out}")
     return 0
 
 
-def _extract_one(path: str, features: FeatureConfig):
-    text = Path(path).read_text(errors="replace")
-    trace = parse_structure(text, structure_id=Path(path).stem)
-    return extract_features(trace, features)
-
-
 def cmd_score(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _echo_config(cfg)
-    try:
-        fa = _extract_one(args.file_a, cfg.features)
-        fb = _extract_one(args.file_b, cfg.features)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    features, eval_bins = _load_config(args.config)
+    _echo_config(features, eval_bins)
+    fa = featuredb.extract_file(args.file_a, features)
+    fb = featuredb.extract_file(args.file_b, features)
     print(f"d= {score(fa, fb):.9f}")
     return 0
 
 
 def cmd_search(args) -> int:
-    if _below_one("k", args.k):
-        return 2
-    try:
-        cfg = _load_config(args.config)
-        store = featuredb.load_store(args.store)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _require_at_least(1, "k", args.k)
+    features, eval_bins = _load_config(args.config)
+    store = featuredb.load_store(args.store)
     # the query is extracted with the geometry the store was built with
-    if args.config and cfg.features != store.config:
-        print(
-            f"error: --config gives {_geometry(cfg.features)}, but {args.store} "
-            f"was built with {_geometry(store.config)}",
-            file=sys.stderr,
+    if args.config and features != store.config:
+        raise ValueError(
+            f"--config gives {_geometry(features)}, but {args.store} "
+            f"was built with {_geometry(store.config)}"
         )
-        return 1
-    _echo_config(replace(cfg, features=store.config))
-    try:
-        query = _extract_one(args.query, store.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        hits = search(store, query, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _echo_config(store.config, eval_bins)
+    hits = search(store, featuredb.extract_file(args.query, store.config), args.k)
     for rank, hit in enumerate(hits, start=1):
         print(f"{rank},{hit.target_id},{hit.distance:.17g}")
     return 0
@@ -187,73 +142,41 @@ def _is_store(path: str) -> bool:
 
 
 def cmd_evaluate(args) -> int:
-    if _below_one("jobs", args.jobs) or _below_one("sample", args.sample):
-        return 2
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _echo_config(cfg)
-    eval_bins = args.eval_bins if args.eval_bins is not None else cfg.eval_bins
-    if eval_bins < 2:
-        print(f"error: --eval-bins must be >= 2, got {eval_bins}", file=sys.stderr)
-        return 2
-    try:
-        labels = _read_labels(args.labels)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _require_at_least(1, "jobs", args.jobs)
+    _require_at_least(1, "sample", args.sample)
+    features, eval_bins = _load_config(args.config)
+    _echo_config(features, eval_bins)
+    if args.eval_bins is not None:
+        eval_bins = args.eval_bins
+    _require_at_least(2, "eval-bins", eval_bins)
+    labels = read_label_table(Path(args.labels).read_text())
 
-    try:
-        if _is_store(args.input):
-            store = featuredb.load_store(args.input)
-            polarity = Polarity(args.polarity) if args.polarity else Polarity.LOWER_IS_SIMILAR
-            pairs = evalstats.score_pairs(
-                store,
-                labels,
-                level=args.level,
-                sample=args.sample,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
-        else:
-            if not args.polarity:
-                print(
-                    "error: --polarity {lower,higher} is required for external "
-                    "score files",
-                    file=sys.stderr,
-                )
-                return 2
-            polarity = Polarity(args.polarity)
-            pairs = evalstats.read_score_file(
-                Path(args.input).read_text(), labels, level=args.level
-            )
-            if not pairs:
-                print(f"error: {args.input}: no scored pairs", file=sys.stderr)
-                return 2
-    except evalstats.MissingLabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if _is_store(args.input):
+        polarity = Polarity(args.polarity) if args.polarity else Polarity.LOWER_IS_SIMILAR
+        pairs = evalstats.score_pairs(
+            featuredb.load_store(args.input),
+            labels,
+            level=args.level,
+            sample=args.sample,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
+    else:
+        if not args.polarity:
+            raise UsageError("--polarity {lower,higher} is required for external score files")
+        polarity = Polarity(args.polarity)
+        pairs = evalstats.read_score_file(Path(args.input).read_text(), labels, level=args.level)
+        if not pairs:
+            raise UsageError(f"{args.input}: no scored pairs")
 
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _write_evaluation(pairs, polarity, eval_bins, args.level, out_dir)
-    except evalstats.DegenerateRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return _write_evaluation(pairs, polarity, eval_bins, args.level, out_dir)
 
 
 def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out_dir: Path) -> int:
     n_match = np.count_nonzero(pairs.match)
-    pv = evalstats.pvalue_curve(pairs, polarity, eval_bins)
+    pv = evalstats.pvalue_curve(pairs, eval_bins)
     evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, pv)
 
     thresholds = evalstats.default_thresholds(pairs, eval_bins)
@@ -354,7 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

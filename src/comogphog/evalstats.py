@@ -54,6 +54,10 @@ class UndefinedRateError(ValueError):
 class MissingLabelError(KeyError):
     """A scored id has no entry in the label table."""
 
+    def __str__(self) -> str:
+        # the bare message, not the quoted key KeyError would print
+        return Exception.__str__(self)
+
 
 class Polarity(Enum):
     """Reading direction of a score: which end means 'similar'."""
@@ -207,15 +211,14 @@ def mcc_curve(pairs, polarity: Polarity, thresholds) -> list[tuple[float, float]
     return out
 
 
-def pvalue_curve(pairs, polarity: Polarity, num_bins: int) -> list[tuple[float, float, int]]:
+def pvalue_curve(pairs, num_bins: int) -> list[tuple[float, float, int]]:
     """Empirical per-bin match probability over equal-width score bins.
 
     Returns (bin_center, probability, pair_count) per bin.  The probability
     is the raw fraction of match pairs among the pairs landing in the bin;
-    empty bins carry count 0 and NaN and are never interpolated.  ``polarity``
-    only documents the reading direction (binning is polarity-agnostic).
+    empty bins carry count 0 and NaN and are never interpolated.  Binning
+    does not depend on the score polarity.
     """
-    del polarity
     if num_bins < 2:
         raise ValueError(f"need at least 2 bins, got {num_bins}")
     if not pairs:

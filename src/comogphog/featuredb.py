@@ -256,16 +256,21 @@ def export_csv(store: FeatureStore, path) -> None:
             fh.write(e.id + "," + ",".join(format(v, ".17g") for v in e.values) + "\n")
 
 
-def _extract_file(path: str, structure_id: str, config: FeatureConfig) -> tuple:
-    """Worker: returns (id, values, None) or (id, None, reason)."""
+def extract_file(path, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
+    """Parse one structure file and return its descriptor, with the file stem as id."""
+    path = Path(path)
+    trace = parse_structure(path.read_text(errors="replace"), structure_id=path.stem)
+    return extract_features(trace, config)
+
+
+def _extract_file(path: str, config: FeatureConfig) -> tuple:
+    """Worker: returns (values, None) or (None, reason)."""
     try:
-        text = Path(path).read_text(errors="replace")
-        trace = parse_structure(text, structure_id=structure_id)
-        return structure_id, extract_features(trace, config).values, None
+        return extract_file(path, config).values, None
     except OSError:
         raise
     except Exception as exc:  # parse or shape problems: skip and report
-        return structure_id, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def ingest_dir(
@@ -306,15 +311,12 @@ def ingest_dir(
         tasks.append((p, sid))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_extract_file, str(p), sid, config)
-                for p, sid in tasks
-            ]
+            futures = [pool.submit(_extract_file, str(p), config) for p, _ in tasks]
             results = [f.result() for f in futures]
     else:
-        results = [_extract_file(str(p), sid, config) for p, sid in tasks]
+        results = [_extract_file(str(p), config) for p, _ in tasks]
     entries: list[FeatureVector] = []
-    for sid, values, err in results:
+    for (_, sid), (values, err) in zip(tasks, results):
         if err is None:
             entries.append(FeatureVector(id=sid, values=values))
             say(sid, "ok", "")

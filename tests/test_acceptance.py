@@ -379,7 +379,7 @@ def test_acceptance_5_evaluation_oracles():
         # per-bin posteriors, weighted by bin counts, recover the global rate
         for trial in range(5):
             pairs = _random_pairs(rng, 400)
-            curve = pvalue_curve(pairs, LOWER, 50)
+            curve = pvalue_curve(pairs, 50)
             recovered = sum(round(p * c) for _, p, c in curve if c)
             assert recovered == sum(p.is_match for p in pairs)
             weighted = sum(p * c for _, p, c in curve if c) / len(pairs)

@@ -398,7 +398,7 @@ def test_evaluate_matches_library_curves(corpus, store_path, tmp_path, capsys):
         assert row[2] == "28"
 
     _, rows = read_rows(out / "pvalue.csv")
-    for row, (center, p, count) in zip(rows, pvalue_curve(pairs, pol, 200)):
+    for row, (center, p, count) in zip(rows, pvalue_curve(pairs, 200)):
         assert float(row[0]) == center
         assert int(row[2]) == count
         if count:
@@ -585,6 +585,80 @@ def test_evaluate_non_finite_score_exits_1(corpus, tmp_path, capsys, bad):
     )
     assert code == 1
     assert "hel0,ext0" in stderr
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "score_unknown_config_key",
+        "search_invalid_config_json",
+        "search_missing_query",
+        "extract_missing_labels",
+        "evaluate_missing_labels",
+        "evaluate_eval_bins_1",
+        "evaluate_out_dir_is_a_file",
+        "extract_out_dir_missing",
+    ],
+)
+def test_failures_exit_with_one_error_line(corpus, store_path, tmp_path, capsys, case):
+    # exit codes of failures that no other test reaches
+    pdb_dir, labels = corpus
+    hel0 = pdb_dir / "hel0.pdb"
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text('{"mystery_knob": 3}')
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"image_size": ')
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    expected, argv = {
+        "score_unknown_config_key": (1, ["score", hel0, hel0, "--config", unknown]),
+        "search_invalid_config_json": (1, ["search", store_path, hel0, "--config", broken]),
+        "search_missing_query": (1, ["search", store_path, tmp_path / "nope.pdb"]),
+        "extract_missing_labels": (
+            1,
+            ["extract", pdb_dir, tmp_path / "out.cmg", "--labels", tmp_path / "nope.tsv"],
+        ),
+        "evaluate_missing_labels": (
+            1,
+            ["evaluate", store_path, tmp_path / "eval", "--labels", tmp_path / "nope.tsv"],
+        ),
+        "evaluate_eval_bins_1": (
+            2,
+            ["evaluate", store_path, tmp_path / "eval", "--labels", labels, "--eval-bins", 1],
+        ),
+        "evaluate_out_dir_is_a_file": (1, ["evaluate", store_path, a_file, "--labels", labels]),
+        "extract_out_dir_missing": (1, ["extract", pdb_dir, tmp_path / "nope" / "out.cmg"]),
+    }[case]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == expected
+    assert stdout == ""
+    assert "Traceback" not in stderr
+    assert len([line for line in stderr.splitlines() if line.startswith("error: ")]) == 1
+
+
+@pytest.mark.parametrize(
+    "scores, line",
+    [
+        (None, "error: 1 ids without labels, e.g. ext3"),
+        ("hel0,,0.5\n", "error: no label for id ''"),
+    ],
+    ids=["store", "score_file"],
+)
+def test_missing_label_error_is_printed_unquoted(
+    corpus, store_path, tmp_path, capsys, scores, line
+):
+    _, labels = corpus
+    if scores is None:
+        short = tmp_path / "short.tsv"
+        short.write_text("".join(f"{sid}\ta.1.1.1\n" for sid in HELIX_IDS + EXT_IDS[:3]))
+        argv = [store_path, tmp_path / "eval", "--labels", short]
+    else:
+        score_file = tmp_path / "scores.csv"
+        score_file.write_text(scores)
+        argv = [score_file, tmp_path / "eval", "--labels", labels, "--polarity", "lower"]
+    code, stdout, stderr = run(capsys, "evaluate", *argv)
+    assert code == 3 and stdout == ""
+    assert stderr.splitlines()[-1] == line
 
 
 # --- evaluation golden ---

@@ -161,7 +161,7 @@ def test_pvalue_hand_counts():
     # range pinned to [0, 1] by the extreme scores: 5 bins of width 0.2
     scores = [0.0, 0.1, 0.15, 0.25, 0.3, 0.45, 0.5, 0.85, 0.9, 1.0]
     match = [True, True, False, True, False, True, False, False, False, False]
-    curve = pvalue_curve(pairs_from(scores, match), LOWER, 5)
+    curve = pvalue_curve(pairs_from(scores, match), 5)
     assert len(curve) == 5
     centers = [row[0] for row in curve]
     assert np.allclose(centers, [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -174,19 +174,19 @@ def test_pvalue_hand_counts():
 
 
 def test_pvalue_all_match_bin_is_one():
-    curve = pvalue_curve(pairs_from([0.0, 0.01, 1.0], [1, 1, 0]), LOWER, 2)
+    curve = pvalue_curve(pairs_from([0.0, 0.01, 1.0], [1, 1, 0]), 2)
     assert curve[0][1] == 1.0
 
 
 def test_pvalue_degenerate_range():
     with pytest.raises(DegenerateRangeError):
-        pvalue_curve(pairs_from([0.4, 0.4, 0.4], [1, 0, 1]), LOWER, 10)
+        pvalue_curve(pairs_from([0.4, 0.4, 0.4], [1, 0, 1]), 10)
 
 
 def test_pvalue_law_of_total_probability():
     rng = np.random.default_rng(8)
     pairs = random_pairs(rng, 500)
-    curve = pvalue_curve(pairs, LOWER, 37)
+    curve = pvalue_curve(pairs, 37)
     # reconstruct per-bin match counts; they must sum to the global count
     recovered = sum(round(p * c) for _, p, c in curve if c)
     assert recovered == sum(p.is_match for p in pairs)
@@ -196,7 +196,7 @@ def test_pvalue_law_of_total_probability():
 
 def test_pvalue_extreme_scores_land_in_end_bins():
     pairs = pairs_from([0.0, 0.5, 1.0], [1, 0, 1])
-    curve = pvalue_curve(pairs, LOWER, 4)
+    curve = pvalue_curve(pairs, 4)
     assert curve[0][2] == 1
     assert curve[-1][2] == 1
 
