@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from comogphog.cli import main as cli_main
+from comogphog.evalstats import DEFAULT_EVAL_BINS
 
 
 def main(argv=None) -> int:
@@ -29,7 +30,7 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--sample", type=int, help="cap the number of evaluated pairs")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--eval-bins", type=int, default=200)
+    ap.add_argument("--eval-bins", type=int, default=DEFAULT_EVAL_BINS)
     ap.add_argument("--skip-extract", action="store_true",
                     help="reuse an existing feature store in out-dir")
     args = ap.parse_args(argv)

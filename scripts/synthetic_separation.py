@@ -23,6 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from comogphog.evalstats import (
+    DEFAULT_EVAL_BINS,
     Polarity,
     ScoredPair,
     auc,
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
     ap.add_argument("--length", type=int, default=44, help="base trace length")
     ap.add_argument("--jitter", type=float, default=0.05, help="coordinate noise, Angstrom")
     ap.add_argument("--seed", type=int, default=300)
-    ap.add_argument("--bins", type=int, default=200, help="threshold grid size")
+    ap.add_argument("--bins", type=int, default=DEFAULT_EVAL_BINS, help="threshold grid size")
     ap.add_argument("--out-dir", help="also write pvalue/mcc/roc CSVs here")
     args = ap.parse_args(argv)
 
@@ -86,9 +87,9 @@ def main(argv=None) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(out / "pvalue.csv", "pvalue", pol, pvalue_curve(pairs, args.bins))
-        write_curve_csv(out / "mcc.csv", "mcc", pol, [(t, m, len(pairs)) for t, m in curve])
-        write_curve_csv(out / "roc.csv", "roc", pol, [(x, y, 0) for x, y in roc])
+        write_curve_csv(out / "pvalue.csv", "pvalue", pol, *zip(*pvalue_curve(pairs, args.bins)))
+        write_curve_csv(out / "mcc.csv", "mcc", pol, *zip(*curve), len(pairs))
+        write_curve_csv(out / "roc.csv", "roc", pol, roc.fpr, roc.tpr, 0)
         print(f"curves written to {out}")
 
     return 0 if gap > 0 else 1

@@ -12,6 +12,7 @@ from .evalstats import (
     ConfusionCounts,
     PairScores,
     Polarity,
+    RocCurve,
     ScoredPair,
     auc,
     confusion_at_threshold,
@@ -76,6 +77,7 @@ __all__ = [
     "PairScores",
     "Polarity",
     "QuantizedOrientations",
+    "RocCurve",
     "ScopLabel",
     "ScoreResult",
     "ScoredPair",

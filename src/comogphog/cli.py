@@ -94,6 +94,10 @@ def cmd_extract(args) -> int:
             f"{FEATURE_LENGTH}-entry descriptor"
         )
     labels = read_label_table(Path(args.labels).read_text()) if args.labels else None
+    # checked before any extraction: save_store writes a temporary file there
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"{args.out}: directory {out_dir} does not exist")
 
     def report(name, status, detail):
         suffix = f": {detail}" if detail else ""
@@ -177,13 +181,11 @@ def cmd_evaluate(args) -> int:
 def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out_dir: Path) -> int:
     n_match = np.count_nonzero(pairs.match)
     pv = evalstats.pvalue_curve(pairs, eval_bins)
-    evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, pv)
+    evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, *zip(*pv))
 
     thresholds = evalstats.default_thresholds(pairs, eval_bins)
     curve = evalstats.mcc_curve(pairs, polarity, thresholds)
-    evalstats.write_curve_csv(
-        out_dir / "mcc.csv", "mcc", polarity, [(t, m, len(pairs)) for t, m in curve]
-    )
+    evalstats.write_curve_csv(out_dir / "mcc.csv", "mcc", polarity, *zip(*curve), len(pairs))
     peak_threshold, peak_mcc = max(curve, key=lambda tm: tm[1])
     conf = evalstats.confusion_at_threshold(pairs, peak_threshold, polarity)
     try:
@@ -196,9 +198,7 @@ def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out
     try:
         roc = evalstats.roc_curve(pairs, polarity)
         area = evalstats.auc(roc)
-        evalstats.write_curve_csv(
-            out_dir / "roc.csv", "roc", polarity, ((x, y, 0) for x, y in roc)
-        )
+        evalstats.write_curve_csv(out_dir / "roc.csv", "roc", polarity, roc.fpr, roc.tpr, 0)
         auc_s = f"{area:.6f}"
     except evalstats.SingleClassError as exc:
         single_class = True

@@ -9,7 +9,9 @@ pairs) and on externally computed score files.
 Scored pairs are held as one :class:`PairScores` record of columns (an id
 table, int32 pair indices, float64 scores and bool matches; 17 bytes per
 pair), which reads as a sequence of :class:`ScoredPair` rows.  The curve
-functions accept it or any hand-built list of :class:`ScoredPair`.
+functions accept it or any hand-built list of :class:`ScoredPair`.  The
+ROC staircase is likewise a :class:`RocCurve` of two float64 columns, and
+:func:`write_curve_csv` takes its rows as columns.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ DEFAULT_EVAL_BINS = 200
 
 # pairs scored per work unit; fixed so results do not depend on the job count
 _CHUNK = 8192
-# pairs per distance block: keeps the (block, 1024) temporaries in cache
+# pairs per distance block: keeps the (block, 1024) buffer in cache
 _BLOCK = 32
+# CSV rows formatted per chunk: bounds the strings alive at once
+_CSV_CHUNK = 4096
 # fewest pairs scored in a process pool when jobs > 1.  Timed in fresh
 # processes on a 2-core VM, two workers were slower than one process at up
 # to 151k pairs (pool start-up) and faster from 211k on.
@@ -122,6 +126,33 @@ class PairScores(Sequence):
             and np.array_equal(mine[self.i], theirs[other.i])
             and np.array_equal(mine[self.j], theirs[other.j])
         )
+
+
+@dataclass(frozen=True, eq=False)
+class RocCurve(Sequence):
+    """ROC staircase as columns: point k is ``(fpr[k], tpr[k])``.
+
+    ``fpr`` and ``tpr`` are float64 and include the (0, 0) and (1, 1)
+    ends.  Reads as a sequence of ``(fpr, tpr)`` tuples of Python floats
+    and compares equal to any sequence holding the same pairs in order.
+    """
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.fpr)
+
+    def __getitem__(self, k: int) -> tuple[float, float]:
+        return float(self.fpr[k]), float(self.tpr[k])
+
+    def __iter__(self):
+        return zip(self.fpr.tolist(), self.tpr.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == [tuple(p) for p in other]
 
 
 @dataclass(frozen=True)
@@ -253,7 +284,7 @@ def default_thresholds(pairs, num_bins: int = DEFAULT_EVAL_BINS) -> list[float]:
     return [lo + (i + 0.5) * width for i in range(num_bins)]
 
 
-def roc_curve(pairs, polarity: Polarity) -> list[tuple[float, float]]:
+def roc_curve(pairs, polarity: Polarity) -> RocCurve:
     """(fpr, tpr) staircase swept over every distinct score.
 
     Starts at exactly (0, 0) and ends at exactly (1, 1); both coordinates
@@ -273,24 +304,34 @@ def roc_curve(pairs, polarity: Polarity) -> list[tuple[float, float]]:
         order = np.argsort(-scores, kind="stable")
     s = scores[order]
     m = match[order]
-    # index of the last pair in each group of equal scores
+    # index of the last pair in each group of equal scores; the last group
+    # ends at the last pair, so the curve ends at exactly (1, 1)
     ends = np.append(np.nonzero(np.diff(s) != 0)[0], len(s) - 1)
     tp = np.cumsum(m)[ends]
     fp = ends + 1 - tp
     # counts are below 2**53, so these are the same quotients as int / int
-    points = [(0.0, 0.0)]
-    points.extend(zip((fp / n_non).tolist(), (tp / n_match).tolist()))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return points
+    return RocCurve(
+        fpr=np.concatenate(([0.0], fp / n_non)),
+        tpr=np.concatenate(([0.0], tp / n_match)),
+    )
 
 
 def auc(curve) -> float:
-    """Trapezoid area under an ROC staircase (0.5 means chance ranking)."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
+    """Trapezoid area under an ROC staircase (0.5 means chance ranking).
+
+    Takes a :class:`RocCurve` or any sequence of (fpr, tpr) pairs.  The
+    terms are added left to right, as a loop over the points would.
+    """
+    if isinstance(curve, RocCurve):
+        x, y = curve.fpr, curve.tpr
+    else:
+        x, y = np.array(curve, dtype=np.float64).reshape(-1, 2).T
+    if len(x) < 2:
+        return 0.0
+    terms = (x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0
+    # cumsum accumulates in sequence (np.sum would add pairwise); 0.0 + is
+    # the loop's starting value, which turns a sum of -0.0 terms into 0.0
+    return 0.0 + float(np.cumsum(terms)[-1])
 
 
 def sensitivity_specificity(c: ConfusionCounts) -> tuple[float, float]:
@@ -376,14 +417,29 @@ def sample_pair_indices(total: int, count: int, seed: int) -> list[int]:
 def _distances(mat: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Euclidean distance between rows ``i[k]`` and ``j[k]`` of ``mat``.
 
-    Each pair's sum runs over its own contiguous difference row, so a
-    distance does not depend on the block size or on how pairs are split
-    into work units.
+    Pairs come in flat-index order, so ``i`` never decreases and ``j``
+    rises within each run of equal ``i``.  Each run subtracts a block of
+    its ``j`` rows from the broadcast row ``mat[i]``; rows with consecutive
+    ``j`` (every block of an all-pairs run) are read in place, others are
+    gathered first.  Each pair's sum runs over its own contiguous difference
+    row, so a distance does not depend on the block size or on how pairs
+    are split into work units.
     """
     out = np.empty(len(i))
-    for s in range(0, len(i), _BLOCK):
-        d = mat[i[s : s + _BLOCK]] - mat[j[s : s + _BLOCK]]
-        out[s : s + _BLOCK] = (d * d).sum(axis=1)
+    buf = np.empty((_BLOCK, mat.shape[1]))
+    runs = np.flatnonzero(np.diff(i)) + 1
+    for start, stop in zip([0, *runs.tolist()], [*runs.tolist(), len(i)]):
+        for s in range(start, stop, _BLOCK):
+            e = min(s + _BLOCK, stop)
+            d = buf[: e - s]
+            first, last = int(j[s]), int(j[e - 1])
+            if last - first == e - s - 1:
+                np.subtract(mat[i[s]], mat[first : last + 1], out=d)
+            else:
+                np.take(mat, j[s:e], axis=0, out=d)
+                np.subtract(mat[i[s]], d, out=d)
+            np.multiply(d, d, out=d)
+            d.sum(axis=1, out=out[s:e])
     return np.sqrt(out, out=out)
 
 
@@ -496,14 +552,33 @@ def read_score_file(
     )
 
 
-def write_curve_csv(path, metric: str, polarity, rows) -> None:
+def _format_unique(column: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt`` text of each 8-byte entry, formatted once per distinct bit pattern.
+
+    Keyed by bits, not value, so -0.0 and 0.0 keep their own text.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([fmt % v for v in bits.view(column.dtype).tolist()], dtype=object)
+    return text[inverse]
+
+
+def write_curve_csv(path, metric: str, polarity, x, value, count) -> None:
     """Write (threshold_or_bin, value, count) rows under a one-line header.
 
-    The header's first field names the metric and the score polarity, e.g.
+    ``x`` and ``value`` are columns of floats, written with ``%.17g``;
+    ``count`` is a column of integers or one integer for every row.  The
+    header's first field names the metric and the score polarity, e.g.
     ``mcc:lower,value,count``.
     """
     pol = polarity.value if isinstance(polarity, Polarity) else str(polarity)
+    x = np.asarray(x, dtype=np.float64)
+    value = np.asarray(value, dtype=np.float64)
+    count = np.broadcast_to(np.asarray(count, dtype=np.int64), x.shape)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{metric}:{pol},value,count\n")
-        for x, value, count in rows:
-            fh.write(f"{x:.17g},{value:.17g},{count}\n")
+        for s in range(0, len(x), _CSV_CHUNK):
+            chunk = slice(s, s + _CSV_CHUNK)
+            rows = _format_unique(x[chunk], "%.17g") + ","
+            rows += _format_unique(value[chunk], "%.17g") + ","
+            rows += _format_unique(count[chunk], "%d") + "\n"
+            fh.write("".join(rows.tolist()))

@@ -166,6 +166,17 @@ def test_extract_missing_dir_exits_1(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_extract_into_missing_directory_fails_before_extracting(corpus, tmp_path, capsys):
+    pdb_dir, _ = corpus
+    out = tmp_path / "nodir" / "x.cmg"
+    code, stdout, stderr = run(capsys, "extract", pdb_dir, out)
+    assert code == 1 and stdout == ""
+    assert not any(line.startswith("ok ") for line in stderr.splitlines())
+    assert stderr.splitlines()[-1] == f"error: {out}: directory {out.parent} does not exist"
+    assert ".tmp" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -14,6 +14,7 @@ from comogphog.evalstats import (
     MissingLabelError,
     PairScores,
     Polarity,
+    RocCurve,
     ScoredPair,
     SingleClassError,
     UndefinedRateError,
@@ -474,7 +475,7 @@ def test_read_score_file_bad_rows(labeled_store):
 
 def test_write_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, "mcc", LOWER, [(0.25, 0.5, 10), (0.75, float("nan"), 0)])
+    write_curve_csv(path, "mcc", LOWER, [0.25, 0.75], [0.5, float("nan")], [10, 0])
     lines = path.read_text().splitlines()
     assert lines[0] == "mcc:lower,value,count"
     assert lines[1] == "0.25,0.5,10"
@@ -583,6 +584,7 @@ def assert_same_rows(got, expected):
         {"sample": 3000, "seed": 0},
         {"sample": 3000, "seed": 1},
         {"sample": 500, "seed": 2, "level": "superfamily"},
+        {"sample": 9000, "seed": 5, "jobs": 2},
     ],
 )
 def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs, monkeypatch):
@@ -593,6 +595,28 @@ def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs, monkeypatc
     expected = reference_score_pairs(store, labels, **kwargs)
     assert_same_rows(got, expected)
     assert any(p.is_match for p in expected)
+
+
+@pytest.mark.parametrize("case", ["all", "gaps", "sampled", "one_pair", "none"])
+def test_distances_match_one_block_of_all_pairs(case):
+    # all pairs reads rows in place; a gap in j, at a block boundary or
+    # inside a block, makes that block gather its rows
+    rng = np.random.default_rng(38)
+    n = 90
+    mat = rng.random((n, FEATURE_LENGTH))
+    ks = np.arange(pair_count(n))
+    if case == "gaps":
+        ks = np.delete(ks, [5, 31, 32, 63, 64, 65, 200, 1000, len(ks) - 2])
+    elif case == "sampled":
+        ks = np.sort(rng.choice(len(ks), size=300, replace=False))
+    elif case == "one_pair":
+        ks = ks[17:18]
+    elif case == "none":
+        ks = ks[:0]
+    i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
+    d = mat[i] - mat[j]
+    expected = np.sqrt((d * d).sum(axis=1))
+    assert evalstats._distances(mat, i, j).tobytes() == expected.tobytes()
 
 
 def test_pairs_from_indices_every_index():
@@ -655,6 +679,128 @@ def test_roc_matches_scalar_reference():
             for given_pairs in (pairs, record):
                 got = roc_curve(given_pairs, pol)
                 assert [(x.hex(), y.hex()) for x, y in got] == expected
+
+
+def test_roc_curve_reads_as_pairs():
+    pairs = pairs_from([0.1, 0.2, 0.2, 0.9], [1, 0, 1, 0])
+    curve = roc_curve(pairs, LOWER)
+    assert isinstance(curve, RocCurve)
+    assert curve.fpr.dtype == curve.tpr.dtype == np.float64
+    expected = [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
+    assert len(curve) == 4
+    assert curve == expected and expected == curve
+    assert curve == RocCurve(np.array([0.0, 0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0, 1.0]))
+    assert curve != expected[:3]
+    assert curve != [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 1.0)]
+    assert curve[-1] == (1.0, 1.0) and curve[1] == (0.0, 0.5)
+    assert all(type(v) is float for point in curve for v in point)
+    assert all(type(v) is float for v in curve[2])
+    with pytest.raises(IndexError):
+        curve[4]
+
+
+def record_from(scores, matches):
+    """A PairScores whose pairs all join the same two ids."""
+    n = len(scores)
+    return PairScores(
+        ids=["a", "b"],
+        i=np.zeros(n, dtype=np.int32),
+        j=np.ones(n, dtype=np.int32),
+        score=np.asarray(scores, dtype=np.float64),
+        match=np.asarray(matches, dtype=bool),
+    )
+
+
+def reference_auc(curve):
+    """The point-by-point trapezoid loop, kept as the reference for auc's bits."""
+    points = list(curve)
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
+
+
+def test_auc_matches_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for trial in range(300):
+        n = int(rng.integers(20, 400))
+        # scores on a coarse grid, so many are tied
+        scores = rng.integers(0, int(rng.integers(2, 60)), size=n) / 7.0
+        matches = rng.random(n) < rng.uniform(0.05, 0.6)
+        matches[:2] = [True, False]
+        for pol in (LOWER, HIGHER):
+            curve = roc_curve(record_from(scores, matches), pol)
+            expected = reference_auc(curve).hex()
+            assert auc(curve).hex() == expected
+            assert auc(list(curve)).hex() == expected
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [(0.5, 0.5)],
+        [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)],
+        [[0.0, 0.0], [0.25, 0.5], [1.0, 1.0]],
+        [(0.0, -1.0), (0.0, -1.0)],  # a -0.0 term
+    ],
+)
+def test_auc_of_plain_lists_matches_loop_reference(points):
+    assert auc(points).hex() == reference_auc(points).hex()
+
+
+def reference_write_curve_csv(path, metric, polarity, rows):
+    """The per-row writer, kept as the reference for write_curve_csv's bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{metric}:{polarity.value},value,count\n")
+        for x, value, count in rows:
+            fh.write(f"{x:.17g},{value:.17g},{count}\n")
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 9.9999e-5, 1e16, 1e17, 1 / 3
+]
+
+
+@pytest.mark.parametrize("scalar_count", [True, False], ids=["scalar_count", "count_column"])
+def test_write_curve_csv_matches_per_row_reference(tmp_path, scalar_count):
+    rng = np.random.default_rng(39)
+    special = np.array(SPECIAL_FLOATS)
+    values = np.concatenate([special, -special, rng.random(50), -rng.random(50) * 1e300])
+    n = 2 * evalstats._CSV_CHUNK + 123
+    x = rng.choice(values, size=n)
+    value = rng.choice(values, size=n)
+    count = 7 if scalar_count else rng.integers(0, 10**12, size=n)
+    counts = [count] * n if scalar_count else count.tolist()
+    write_curve_csv(tmp_path / "got.csv", "roc", HIGHER, x, value, count)
+    reference_write_curve_csv(
+        tmp_path / "want.csv", "roc", HIGHER, zip(x.tolist(), value.tolist(), counts)
+    )
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_roc_auc_and_csv_memory_bound(tmp_path):
+    # columns, not one tuple per point, and the CSV formatted a chunk at a time
+    rng = np.random.default_rng(41)
+    n = 200_000
+    pairs = record_from(rng.random(n), rng.random(n) < 0.05)
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    curve, roc_peak = traced_peak(lambda: roc_curve(pairs, LOWER))
+    _, auc_peak = traced_peak(lambda: auc(curve))
+    _, csv_peak = traced_peak(
+        lambda: write_curve_csv(tmp_path / "roc.csv", "roc", LOWER, curve.fpr, curve.tpr, 0)
+    )
+    assert len(curve) == n + 1
+    for name, peak in (("roc_curve", roc_peak), ("auc", auc_peak), ("csv", csv_peak)):
+        assert peak <= 16 * 2**20, f"{name}: peak traced allocation {peak / 2**20:.1f} MB"
 
 
 def reference_read_score_file(text, labels, level="family"):
