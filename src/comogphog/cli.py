@@ -9,7 +9,8 @@ maps the error's type to the exit code, most specific type first:
        a score file without --polarity, or a score file with no data rows
     1  OSError: a file that cannot be read or written
     1  ValueError: a bad config or store, unparseable input, a non-finite
-       score, a store built with other geometry, or all scores equal
+       score or distance, a store built with other geometry, or all scores
+       equal
 
 ``evaluate`` also exits 3 when only one class is present: it writes every
 output it can, but no roc.csv, and prints the error.

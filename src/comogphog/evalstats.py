@@ -468,7 +468,8 @@ def score_pairs(
     All n*(n-1)/2 unordered pairs by default; ``sample`` draws that many
     pairs with a seeded deterministic sampler.  Entries are paired in id
     order and results are identical for any ``jobs`` setting; ``jobs`` > 1
-    starts a process pool only from 200,000 pairs on.
+    starts a process pool only from 200,000 pairs on.  Raises ValueError
+    naming the first pair whose score is not finite.
     """
     ids, mat = store.ids(), store.matrix
     if ids != sorted(ids):
@@ -497,6 +498,10 @@ def score_pairs(
             scores = np.concatenate(list(pool.map(_pair_worker, units)))
     else:
         scores = _distances(mat, i, j)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        at = bad[0]
+        raise ValueError(f"pair {ids[i[at]]},{ids[j[at]]} has a non-finite score {scores[at]}")
     return PairScores(ids=ids, i=i, j=j, score=scores, match=codes[i] == codes[j])
 
 

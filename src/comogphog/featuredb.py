@@ -1,31 +1,43 @@
 """Binary persistence for descriptor collections plus directory ingestion.
 
-Store layout, format v2 (little-endian throughout):
+Store layout, format v3 (little-endian throughout):
 
     magic  b"CMGP"
-    u32    format version (2)
+    u32    format version (3)
     u32    entry count
     u32    comograd_bins, phog_bins, phog_levels, image_size
            (the FeatureConfig the vectors were built with)
     u32    vector length (must equal that config's length)
-    per entry:
-        u16    id byte length
-        bytes  id (UTF-8)
+    u64    id blob byte length
+    u32    index rank r
+    bytes  id blob: each id in UTF-8 followed by one NUL byte
     zero bytes up to the next multiple of 8
-    f64[count, length]  descriptor matrix, row per entry
+    f64[length]         index mean mu
+    f64[r, length]      index axes P, orthonormal rows
+    f64[count, r]       projected rows Z = (M - mu) P^T
+    zero bytes up to the next multiple of 4096
+    f64[count, length]  descriptor matrix M, row per entry
 
-Format v1 (still read, never written) holds the count, then per entry the
-id length, the id and 1024 float64 values; it implies the default config.
-Raw float64 bytes round-trip bit-exactly.
+The index (:class:`ProjectionIndex`) is a pure function of the matrix
+bytes; :func:`comogphog.scoring.search` uses it to skip rows that cannot
+be among the nearest.  Format v2 (still read, never written) has no blob
+length, rank or index: after the vector length, per entry a u16 id byte
+length and the UTF-8 id, zero bytes up to the next multiple of 8, then the
+matrix.  Format v1 (still read, never written) holds the count, then per
+entry the id length, the id and 1024 float64 values; it implies the
+default config.  v1 and v2 stores load with a rank-0 index.  Raw float64
+bytes round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import secrets
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +46,27 @@ from .features import FEATURE_LENGTH, FeatureConfig, FeatureVector, extract_feat
 from .structure_io import parse_structure
 
 MAGIC = b"CMGP"
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<4sII")
 _GEOMETRY = struct.Struct("<IIIII")
+_SECTIONS = struct.Struct("<QI")
 _IDLEN = struct.Struct("<H")
 _V1_VEC_BYTES = FEATURE_LENGTH * 8
+_MATRIX_ALIGN = 4096
+
+# The index: r axes fitted by randomized subspace iteration (Halko,
+# Martinsson & Tropp 2011) on a strided sample of rows, started from a
+# fixed generator and seed, so that the index depends on the matrix bytes
+# alone.
+_RANK = 32
+_SAMPLE_ROWS = 1000
+_OVERSAMPLE = 8
+_POWER_STEPS = 2
+_SEED = 20160101
+_PROJECT_ROWS = 128  # rows per block when projecting the matrix (fastest of 64-512)
+# a loaded P further than this from orthonormal is corrupt
+_MAX_DEPARTURE = 1e-6
 
 
 class BadMagicError(ValueError):
@@ -51,21 +78,121 @@ class UnsupportedVersionError(ValueError):
 
 
 class CorruptEntryError(ValueError):
-    """Feature store with a bad header, id table or size, or trailing bytes."""
+    """Feature store with a bad header, id table, index or size, or trailing bytes."""
 
 
 class EmptyCorpusError(ValueError):
     """Ingestion found no parseable structure files."""
 
 
+@dataclass(frozen=True)
+class ProjectionIndex:
+    """Lower bounds on distances to the rows of a matrix.
+
+    ``axes`` holds r orthonormal rows P, ``rows`` the projections
+    ``(matrix - mean) @ axes.T`` of the matrix rows.  For any vector q, in
+    exact arithmetic,
+    ``||P(q - mean) - rows[i]|| <= (1 + departure) * ||q - matrix[i]||``,
+    where ``departure`` bounds ``||P P^T - I||`` as measured on ``axes``;
+    :func:`comogphog.scoring.search` adds a margin for rounding.  Rank 0
+    bounds every distance by 0.
+    """
+
+    mean: np.ndarray
+    axes: np.ndarray
+    rows: np.ndarray
+    departure: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.axes)
+
+    @classmethod
+    def none(cls, count: int, length: int) -> ProjectionIndex:
+        """The rank-0 index of a ``(count, length)`` matrix."""
+        return cls(np.zeros(length), np.empty((0, length)), np.empty((count, 0)), 0.0)
+
+
+def _departure(axes: np.ndarray) -> float:
+    """An upper bound on ``||P P^T - I||_2`` for the rows P of ``axes``.
+
+    The Frobenius norm of the computed ``P P^T - I`` bounds the spectral
+    norm; each of its r * r entries is a length-n dot product of rows of
+    norm about 1, off by at most (n + 2) u, so r (n + 2) u more covers the
+    rounding of the measurement itself.
+    """
+    r, n = axes.shape
+    with np.errstate(all="ignore"):  # damaged axes measure as inf or nan
+        gram = axes @ axes.T
+        gram[np.diag_indices(r)] -= 1.0
+        return float(np.linalg.norm(gram)) + r * (n + 2) * np.finfo(float).eps
+
+
+def _uniform(count: int) -> np.ndarray:
+    """``count`` values in [-0.5, 0.5) from splitmix64 (Steele et al. 2014) at ``_SEED``.
+
+    A fixed generator in a few integer operations, so that building an
+    index does not load numpy.random (about 6 MB and 40 ms per process).
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
+def build_index(matrix: np.ndarray) -> ProjectionIndex:
+    """Fit r = min(32, count, length) axes to ``matrix`` and project its rows.
+
+    Two power steps of randomized subspace iteration on a strided sample of
+    at most about 1000 rows, then Rayleigh-Ritz keeps the r leading axes of
+    the sampled covariance in that subspace.  Any orthonormal axes give
+    valid bounds; fitting them to the data makes the bounds tight.  Values
+    so large (about 1e150 and up) that the fit overflows get the rank-0
+    index instead.
+    """
+    count, length = matrix.shape
+    rank = min(_RANK, count, length)
+    if rank == 0:
+        return ProjectionIndex.none(count, length)
+    width = min(rank + _OVERSAMPLE, length)
+    with np.errstate(all="ignore"):
+        mean = matrix.mean(axis=0)
+        sample = matrix[:: -(-count // _SAMPLE_ROWS)] - mean
+        basis, _ = np.linalg.qr(_uniform(length * width).reshape(length, width))
+        try:
+            for _ in range(_POWER_STEPS):
+                basis, _ = np.linalg.qr(sample.T @ (sample @ basis))
+            spread = sample @ basis
+            _, vecs = np.linalg.eigh(spread.T @ spread)  # ascending eigenvalues
+        except np.linalg.LinAlgError:
+            return ProjectionIndex.none(count, length)
+        axes = np.ascontiguousarray((basis @ vecs[:, : -rank - 1 : -1]).T)
+        rows = np.empty((count, rank))
+        for s in range(0, count, _PROJECT_ROWS):
+            np.matmul(
+                matrix[s : s + _PROJECT_ROWS] - mean, axes.T, out=rows[s : s + _PROJECT_ROWS]
+            )
+    index = ProjectionIndex(mean, axes, rows, _departure(axes))
+    if not (index.departure <= _MAX_DEPARTURE and np.isfinite(mean).all()):
+        return ProjectionIndex.none(count, length)
+    return index
+
+
 class FeatureStore:
     """An ordered collection of descriptors with unique ids.
 
     Holds the ids, one (count, length) float64 ``matrix`` with a row per
-    id, and the :class:`FeatureConfig` the rows were built with.  Build one
-    from ``entries`` (a list of :class:`FeatureVector`, copied into the
-    matrix) or from ``ids`` and ``matrix``.  ``version`` is the format the
-    store was read from; :func:`save_store` always writes the current one.
+    id, the :class:`FeatureConfig` the rows were built with, and the
+    :class:`ProjectionIndex` that search prunes with.  Build one from
+    ``entries`` (a list of :class:`FeatureVector`, copied into the matrix)
+    or from ``ids`` and ``matrix``; without an ``index`` it gets a rank-0
+    one, which prunes nothing.  The index describes the matrix it was
+    built from: a caller that writes into ``matrix`` must replace it (for
+    example with :func:`build_index`) before searching.  ``version`` is
+    the format the store was read from; :func:`save_store` always writes
+    the current one, with a freshly built index.
     """
 
     def __init__(
@@ -76,6 +203,7 @@ class FeatureStore:
         matrix: np.ndarray | None = None,
         config: FeatureConfig = FeatureConfig(),
         version: int = VERSION,
+        index: ProjectionIndex | None = None,
     ):
         if ids is None:
             ids = [e.id for e in entries]
@@ -88,6 +216,7 @@ class FeatureStore:
         self.matrix = matrix
         self.config = config
         self.version = version
+        self.index = ProjectionIndex.none(*matrix.shape) if index is None else index
 
     def ids(self) -> list[str]:
         return list(self._ids)
@@ -101,11 +230,14 @@ class FeatureStore:
         return len(self._ids)
 
 
-def _check_store(store: FeatureStore) -> None:
+def _check_store(store: FeatureStore) -> np.ndarray:
+    """Validate a store for saving; returns its matrix as little-endian float64."""
     seen: set[str] = set()
     for sid in store._ids:
         if sid in seen:
             raise ValueError(f"duplicate id {sid!r} in store")
+        if "\0" in sid:
+            raise ValueError(f"id {sid!r} contains a NUL character")
         seen.add(sid)
     store.config.validate()
     want = (len(store), store.config.length)
@@ -114,40 +246,47 @@ def _check_store(store: FeatureStore) -> None:
             f"store matrix has shape {store.matrix.shape}; {len(store)} ids under "
             f"its config need {want}"
         )
+    matrix = np.ascontiguousarray(store.matrix, dtype="<f8")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"entry {store._ids[np.argmin(finite)]!r} has a non-finite value")
+    return matrix
 
 
-def _pad(pos: int) -> int:
-    return -pos % 8
+def _pad(pos: int, align: int = 8) -> int:
+    return -pos % align
 
 
 def save_store(store: FeatureStore, path) -> None:
-    """Write a store in format v2.
+    """Write a store in format v3, building its index.
 
     The file is written under a temporary name in the same directory and
     then renamed over ``path``, so readers (and maps) of the old file keep
     its bytes and a failed write leaves the old file in place.  Raises
-    ValueError on duplicate ids or a matrix that does not fit the config.
+    ValueError on duplicate ids, an id containing NUL, a matrix that does
+    not fit the config, or a value that is not finite.
     """
-    _check_store(store)
+    matrix = _check_store(store)
     cfg = store.config
-    table = bytearray()
-    for sid in store._ids:
-        idb = sid.encode("utf-8")
-        if len(idb) > 0xFFFF:
-            raise ValueError(f"id of {len(idb)} bytes is longer than 65535: {sid[:40]!r}...")
-        table += _IDLEN.pack(len(idb)) + idb
-    head = _HEADER.pack(MAGIC, VERSION, len(store)) + _GEOMETRY.pack(
-        cfg.comograd_bins, cfg.phog_bins, cfg.phog_levels, cfg.image_size, cfg.length
+    blob = "".join(sid + "\0" for sid in store._ids).encode("utf-8")
+    index = build_index(matrix)
+    head = (
+        _HEADER.pack(MAGIC, VERSION, len(store))
+        + _GEOMETRY.pack(
+            cfg.comograd_bins, cfg.phog_bins, cfg.phog_levels, cfg.image_size, cfg.length
+        )
+        + _SECTIONS.pack(len(blob), index.rank)
     )
-    table += bytes(_pad(len(head) + len(table)))
+    blob += bytes(_pad(len(head) + len(blob)))
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (index.mean, index.axes, index.rows)]
+    end = len(head) + len(blob) + sum(a.nbytes for a in arrays)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(head)
-            fh.write(table)
-            fh.write(np.ascontiguousarray(store.matrix, dtype="<f8").data)
+            for part in (head, blob, *arrays, bytes(_pad(end, _MATRIX_ALIGN)), matrix):
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -155,7 +294,7 @@ def save_store(store: FeatureStore, path) -> None:
 
 
 def _read_id(buf, pos: int, end: int, path) -> tuple[str, int]:
-    """Decode the id record at ``buf[pos:end]``; returns (id, next pos)."""
+    """Decode the v1/v2 id record at ``buf[pos:end]``; returns (id, next pos)."""
     if pos + _IDLEN.size > end:
         raise CorruptEntryError(f"{path}: truncated id")
     (n,) = _IDLEN.unpack_from(buf, pos)
@@ -194,7 +333,7 @@ def _load_v1(fh, path, count: int) -> FeatureStore:
     return FeatureStore(ids=ids, matrix=matrix, version=1)
 
 
-def _load_v2(fh, path, count: int) -> FeatureStore:
+def _read_geometry(fh, path) -> FeatureConfig:
     raw = fh.read(_GEOMETRY.size)
     if len(raw) < _GEOMETRY.size:
         raise CorruptEntryError(f"{path}: truncated header")
@@ -208,6 +347,19 @@ def _load_v2(fh, path, count: int) -> FeatureStore:
         raise CorruptEntryError(
             f"{path}: vector length {length}, but its config gives {config.length}"
         )
+    return config
+
+
+def _map(fh):
+    # A private (copy-on-write) map: the values are writable, writes stay
+    # in this process, and a store file replaced by save_store keeps the
+    # old bytes mapped.
+    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+
+def _load_v2(fh, path, count: int) -> FeatureStore:
+    config = _read_geometry(fh, path)
+    length = config.length
     # The matrix ends the file, so its offset follows from the file size;
     # the id table and its padding must end exactly there.
     start = _HEADER.size + _GEOMETRY.size
@@ -215,10 +367,7 @@ def _load_v2(fh, path, count: int) -> FeatureStore:
     offset = size - count * length * 8
     if offset < start + count * _IDLEN.size:
         raise CorruptEntryError(f"{path}: file too short for {count} entries")
-    # A private (copy-on-write) map: the values are writable, writes stay
-    # in this process, and a store file replaced by save_store keeps the
-    # old bytes mapped.
-    buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    buf = _map(fh)
     ids: list[str] = []
     pos = start
     for _ in range(count):
@@ -233,8 +382,60 @@ def _load_v2(fh, path, count: int) -> FeatureStore:
     )
 
 
+def _load_v3(fh, path, count: int) -> FeatureStore:
+    config = _read_geometry(fh, path)
+    length = config.length
+    raw = fh.read(_SECTIONS.size)
+    if len(raw) < _SECTIONS.size:
+        raise CorruptEntryError(f"{path}: truncated header")
+    blob_len, rank = _SECTIONS.unpack(raw)
+    if rank > length:
+        raise CorruptEntryError(f"{path}: index rank {rank} above vector length {length}")
+    # every section's offset follows from the header; the matrix ends the file
+    start = _HEADER.size + _GEOMETRY.size + _SECTIONS.size
+    mean_at = start + blob_len + _pad(start + blob_len)
+    axes_at = mean_at + 8 * length
+    rows_at = axes_at + 8 * rank * length
+    index_end = rows_at + 8 * count * rank
+    matrix_at = index_end + _pad(index_end, _MATRIX_ALIGN)
+    if os.fstat(fh.fileno()).st_size != matrix_at + 8 * count * length:
+        raise CorruptEntryError(f"{path}: file size does not match its header")
+    buf = _map(fh)
+    try:
+        ids = str(buf[start : start + blob_len], "utf-8").split("\0")
+    except UnicodeDecodeError as exc:
+        raise CorruptEntryError(f"{path}: id is not UTF-8 ({exc})") from None
+    if len(ids) != count + 1 or ids.pop():
+        raise CorruptEntryError(f"{path}: id blob does not hold {count} NUL-terminated ids")
+    _check_unique(ids, path)
+    for lo, hi in ((start + blob_len, mean_at), (index_end, matrix_at)):
+        if buf[lo:hi] != bytes(hi - lo):
+            raise CorruptEntryError(f"{path}: non-zero padding")
+
+    def f64(offset: int, *shape: int) -> np.ndarray:
+        return np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=offset).reshape(
+            shape
+        )
+
+    mean, axes = f64(mean_at, length), f64(axes_at, rank, length)
+    departure = _departure(axes)
+    if not np.isfinite(mean).all() or not departure <= _MAX_DEPARTURE:
+        raise CorruptEntryError(f"{path}: index axes are not orthonormal or mean not finite")
+    index = ProjectionIndex(mean, axes, f64(rows_at, count, rank), departure)
+    return FeatureStore(
+        ids=ids, matrix=f64(matrix_at, count, length), config=config, version=3, index=index
+    )
+
+
+_LOADERS = {1: _load_v1, 2: _load_v2, 3: _load_v3}
+
+
 def load_store(path) -> FeatureStore:
-    """Read a store (format v1 or v2), verifying magic, version and framing."""
+    """Read a store (format v1, v2 or v3), verifying magic, version and framing.
+
+    The matrix (and a v3 index) is mapped, not read; only the header, the
+    ids and the index axes are checked.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if head[: len(MAGIC)] != MAGIC:
@@ -242,10 +443,8 @@ def load_store(path) -> FeatureStore:
         if len(head) < _HEADER.size:
             raise CorruptEntryError(f"{path}: truncated header")
         _, version, count = _HEADER.unpack(head)
-        if version == 1:
-            return _load_v1(fh, path, count)
-        if version == VERSION:
-            return _load_v2(fh, path, count)
+        if version in _LOADERS:
+            return _LOADERS[version](fh, path, count)
     raise UnsupportedVersionError(f"{path}: unsupported store version {version}")
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from comogphog.synthetic import (
 )
 
 STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
+STORE_V2 = Path(__file__).parent / "data" / "store_v2.cmg"
 
 HELIX_IDS = [f"hel{i}" for i in range(4)]
 EXT_IDS = [f"ext{i}" for i in range(4)]
@@ -325,17 +327,67 @@ def test_search_refuses_other_geometry(corpus, store_path, tmp_path, capsys):
     assert "image_size=64" in stderr and "image_size=128" in stderr
 
 
-def test_search_v1_store_and_v2_resave_print_the_same(tmp_path, capsys):
+def test_search_v1_store_and_v3_resave_print_the_same(tmp_path, capsys):
     # the checked-in v1 store holds this trace under the id "hélice"
     query = tmp_path / "hélice.pdb"
     query.write_text(ca_trace_to_pdb(helix_trace(40, "hélice", jitter=0.15, seed=11)))
-    resaved = tmp_path / "v2.cmg"
+    resaved = tmp_path / "v3.cmg"
     save_store(load_store(STORE_V1), resaved)
     code1, out1, _ = run(capsys, "search", STORE_V1, query)
     code2, out2, _ = run(capsys, "search", resaved, query)
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "1,hélice,0" and len(out1.splitlines()) == 5
+
+
+@pytest.mark.parametrize("k", [10, 2])
+def test_search_v2_store_and_v3_resave_print_the_same(tmp_path, capsys, k):
+    # the checked-in v2 store is the v1 store re-saved by the v2 writer
+    query = tmp_path / "hélice.pdb"
+    query.write_text(ca_trace_to_pdb(helix_trace(40, "hélice", jitter=0.15, seed=11)))
+    resaved = tmp_path / "v3.cmg"
+    save_store(load_store(STORE_V2), resaved)
+    assert load_store(resaved).version == 3
+    code1, out1, _ = run(capsys, "search", STORE_V2, query, "--k", k)
+    code2, out2, _ = run(capsys, "search", resaved, query, "--k", k)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.splitlines()[0] == "1,hélice,0" and len(out1.splitlines()) == min(k, 5)
+
+
+def _with_non_finite_value(src: Path, dst: Path, entry: str, value: float) -> None:
+    """Copy a store, putting ``value`` into the given entry's matrix row."""
+    store = load_store(src)
+    row = store.ids().index(entry)
+    blob = bytearray(src.read_bytes())
+    at = len(blob) - store.matrix.nbytes + row * store.matrix.shape[1] * 8 + 40
+    blob[at : at + 8] = np.float64(value).astype("<f8").tobytes()
+    dst.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_search_non_finite_distance_exits_1(corpus, store_path, tmp_path, capsys, bad):
+    pdb_dir, _ = corpus
+    damaged = tmp_path / "damaged.cmg"
+    _with_non_finite_value(store_path, damaged, "ext2", bad)
+    code, stdout, stderr = run(capsys, "search", damaged, pdb_dir / "hel0.pdb", "--k", 8)
+    assert code == 1 and stdout == ""
+    assert "non-finite distance" in stderr and "'ext2'" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_evaluate_non_finite_store_value_exits_1(corpus, store_path, tmp_path, capsys, bad):
+    _, labels = corpus
+    damaged = tmp_path / "damaged.cmg"
+    _with_non_finite_value(store_path, damaged, "ext2", bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(
+            capsys, "evaluate", damaged, tmp_path / "eval", "--labels", labels
+        )
+    assert code == 1 and stdout == ""
+    assert "error: pair ext0,ext2 has a non-finite score" in stderr
 
 
 @pytest.mark.parametrize("k", [0, -2])

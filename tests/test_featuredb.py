@@ -14,6 +14,7 @@ from comogphog.featuredb import (
     EmptyCorpusError,
     FeatureStore,
     UnsupportedVersionError,
+    build_index,
     export_csv,
     ingest_dir,
     load_store,
@@ -24,6 +25,8 @@ from comogphog.structure_io import parse_structure
 from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace
 
 STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
+# the v1 store above, re-saved by the format-v2 save_store
+STORE_V2 = Path(__file__).parent / "data" / "store_v2.cmg"
 # the smallest geometry: one co-occurrence bin, one level-0 pyramid bin
 TINY = FeatureConfig(comograd_bins=1, phog_bins=1, phog_levels=0, image_size=2)
 
@@ -60,7 +63,14 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4, unique=True))
+@given(
+    st.lists(
+        st.text(st.characters(blacklist_characters="\0"), min_size=1, max_size=12),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    )
+)
 def test_round_trip_arbitrary_ids(tmp_path_factory, ids):
     store = make_store(ids, seed=len(ids))
     path = tmp_path_factory.mktemp("stores") / "s.cmgp"
@@ -112,6 +122,22 @@ def test_save_rejects_duplicate_ids(tmp_path):
     store = make_store(["a", "a"])
     with pytest.raises(ValueError):
         save_store(store, tmp_path / "s.cmgp")
+
+
+def test_save_rejects_an_id_with_nul(tmp_path):
+    # v3 terminates each id with NUL; v2 stored such ids, v3 refuses them
+    with pytest.raises(ValueError, match="NUL"):
+        save_store(make_store(["a", "b\0c"]), tmp_path / "s.cmgp")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_rejects_non_finite_values(tmp_path, bad):
+    store = make_store(["a", "b", "c"], seed=4)
+    store.matrix[1, 700] = bad
+    with pytest.raises(ValueError, match="'b' has a non-finite value"):
+        save_store(store, tmp_path / "s.cmgp")
+    assert not list(tmp_path.iterdir())
 
 
 def test_save_rejects_wrong_length(tmp_path):
@@ -211,31 +237,109 @@ def test_ingest_records_config(corpus):
     assert store.entries[0].values.tobytes() == extract_features(trace, config).values.tobytes()
 
 
-# --- format v2 ---
+# --- format v3 ---
 
 
-def test_v2_layout(tmp_path):
+def test_v3_layout(tmp_path):
     ids = ["a", "bé"]
     store = make_store(ids, seed=5)
     path = tmp_path / "s.cmg"
     save_store(store, path)
     blob = path.read_bytes()
-    head = struct.pack("<4sIIIIIII", b"CMGP", 2, 2, 16, 9, 3, 128, 1024)
-    table = b"\x01\x00a" + b"\x03\x00b\xc3\xa9"
-    pad = bytes(-(len(head) + len(table)) % 8)
-    assert blob == head + table + pad + store.matrix.astype("<f8").tobytes()
+    rank = 2  # min(32, count, length)
+    head = struct.pack("<4sIIIIIIIQI", b"CMGP", 3, 2, 16, 9, 3, 128, 1024, 6, rank)
+    ids_blob = b"a\x00b\xc3\xa9\x00"
+    assert len(head) == 44
+    assert blob[:50] == head + ids_blob
+    mean_at = 56  # the id blob padded to a multiple of 8
+    assert blob[50:mean_at] == bytes(6)
+    index_end = mean_at + 8 * (1024 + rank * 1024 + 2 * rank)
+    matrix_at = 4096 * -(-index_end // 4096)
+    assert blob[index_end:matrix_at] == bytes(matrix_at - index_end)
+    assert blob[matrix_at:] == store.matrix.astype("<f8").tobytes()
+    # the index bits depend on the BLAS build, so check its properties
+    mean = np.frombuffer(blob, "<f8", 1024, mean_at)
+    axes = np.frombuffer(blob, "<f8", rank * 1024, mean_at + 8 * 1024).reshape(rank, 1024)
+    rows = np.frombuffer(blob, "<f8", 2 * rank, mean_at + 8 * 1024 * (1 + rank)).reshape(2, rank)
+    assert np.array_equal(mean, store.matrix.mean(axis=0))
+    assert np.abs(axes @ axes.T - np.eye(rank)).max() <= 1e-12
+    assert np.allclose(rows, (store.matrix - mean) @ axes.T, rtol=0, atol=1e-12)
+    back = load_store(path)
+    assert back.version == 3 and back.index.rank == rank
+    assert back.index.departure <= 1e-9
 
 
-def test_v2_records_config(tmp_path):
+def test_v3_records_config(tmp_path):
     rng = np.random.default_rng(1)
     config = FeatureConfig(comograd_bins=4, phog_bins=3, phog_levels=0, image_size=32)
     store = FeatureStore(ids=["x", "y"], matrix=rng.random((2, config.length)), config=config)
     path = tmp_path / "s.cmg"
     save_store(store, path)
     back = load_store(path)
-    assert back.config == config and back.version == 2
+    assert back.config == config and back.version == 3
     assert back.ids() == ["x", "y"]
     assert back.matrix.tobytes() == store.matrix.tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 40, 2500])
+def test_index_properties(count):
+    rng = np.random.default_rng(count)
+    length = 64
+    matrix = rng.random((count, length)) * rng.random(length) * 10
+    index = build_index(matrix)
+    rank = min(32, count, length)
+    assert index.axes.shape == (rank, length) and index.rows.shape == (count, rank)
+    assert np.abs(index.axes @ index.axes.T - np.eye(rank)).max(initial=0.0) <= 1e-12
+    if count:
+        assert np.allclose(index.rows, (matrix - index.mean) @ index.axes.T, rtol=0, atol=1e-12)
+        # the bound never exceeds the distance
+        q = rng.random(length) * 5
+        bound = np.linalg.norm(index.rows - index.axes @ (q - index.mean), axis=1)
+        assert (bound <= np.linalg.norm(matrix - q, axis=1) * (1 + 1e-12)).all()
+    again = build_index(matrix)
+    assert again.axes.tobytes() == index.axes.tobytes()
+    assert again.rows.tobytes() == index.rows.tobytes()
+
+
+def test_values_too_large_for_the_fit_get_no_index(tmp_path):
+    store = make_store(["a", "b", "c"], seed=9)
+    store.matrix[:] *= 1e300
+    path = tmp_path / "s.cmg"
+    save_store(store, path)
+    back = load_store(path)
+    assert back.index.rank == 0
+    assert back.matrix.tobytes() == store.matrix.tobytes()
+
+
+def test_resave_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.cmg", tmp_path / "b.cmg"
+    save_store(make_store([f"e{i}" for i in range(70)], seed=8), first)
+    save_store(load_store(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_far_from_orthonormal_axes_are_corrupt(tmp_path):
+    path = tmp_path / "s.cmg"
+    save_store(make_store(["a", "b", "c"], seed=6), path)
+    blob = bytearray(path.read_bytes())
+    axis0 = 56 + 8 * 1024  # the first axis value after the mean
+    blob[axis0 : axis0 + 8] = struct.pack("<d", 0.5)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptEntryError, match="orthonormal"):
+        load_store(path)
+
+
+def test_reads_checked_in_v2_store(tmp_path):
+    ids, values = _v1_reference(STORE_V1.read_bytes())
+    store = load_store(STORE_V2)
+    assert store.version == 2 and store.config == FeatureConfig()
+    assert store.ids() == ids and store.index.rank == 0
+    assert [row.tobytes() for row in store.matrix] == values
+    resaved = tmp_path / "v3.cmg"
+    save_store(store, resaved)
+    again = load_store(resaved)
+    assert again.version == 3 and again.ids() == ids and again.index.rank == 5
+    assert again.matrix.tobytes() == store.matrix.tobytes()
 
 
 def test_loaded_matrix_is_a_writable_plain_array(tmp_path):
@@ -283,10 +387,10 @@ def test_reads_checked_in_v1_store(tmp_path):
     assert store.version == 1 and store.config == FeatureConfig()
     assert store.ids() == ids
     assert [row.tobytes() for row in store.matrix] == values
-    resaved = tmp_path / "v2.cmg"
+    resaved = tmp_path / "v3.cmg"
     save_store(store, resaved)
     again = load_store(resaved)
-    assert again.version == 2 and again.ids() == ids
+    assert again.version == 3 and again.ids() == ids
     assert again.matrix.tobytes() == store.matrix.tobytes()
 
 
@@ -294,7 +398,7 @@ def test_non_utf8_id_is_corrupt(tmp_path):
     path = tmp_path / "s.cmg"
     save_store(make_store(["ab"]), path)
     blob = path.read_bytes()
-    at = blob.index(b"\x02\x00ab") + 2
+    at = blob.index(b"ab\x00")
     path.write_bytes(blob[:at] + b"\xff\xfe" + blob[at + 2 :])
     with pytest.raises(CorruptEntryError):
         load_store(path)
@@ -304,7 +408,7 @@ def test_duplicate_ids_on_disk_are_corrupt(tmp_path):
     path = tmp_path / "s.cmg"
     save_store(make_store(["ab", "ac"]), path)
     blob = path.read_bytes()
-    path.write_bytes(blob.replace(b"\x02\x00ac", b"\x02\x00ab"))
+    path.write_bytes(blob.replace(b"ac\x00", b"ab\x00"))
     with pytest.raises(CorruptEntryError):
         load_store(path)
 
@@ -324,35 +428,56 @@ FUZZ_BASE = _fuzz_base()
 STORE_ERRORS = (BadMagicError, UnsupportedVersionError, CorruptEntryError)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.tuples(st.just("truncate"), st.integers(0, len(FUZZ_BASE) - 1), st.just(0)),
-        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24), st.just(0)),
-        st.tuples(
-            st.just("flip"), st.integers(0, len(FUZZ_BASE) - 1), st.integers(1, 255)
-        ),
-    )
-)
-def test_damaged_v2_loads_or_raises_documented_error(tmp_path_factory, damage):
+def _damage(base: bytes, damage) -> bytes:
     kind, arg, mask = damage
-    blob = bytearray(FUZZ_BASE)
+    blob = bytearray(base)
     if kind == "truncate":
         del blob[arg:]
     elif kind == "extend":
         blob += arg
     else:
         blob[arg] ^= mask
+    return bytes(blob)
+
+
+def _damages(size: int):
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24), st.just(0)),
+        st.tuples(st.just("flip"), st.integers(0, size - 1), st.integers(1, 255)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damages(len(FUZZ_BASE)))
+def test_damaged_v3_loads_or_raises_documented_error(tmp_path_factory, damage):
     path = tmp_path_factory.mktemp("fuzz") / "damaged.cmg"
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_damage(FUZZ_BASE, damage))
     try:
         store = load_store(path)
     except STORE_ERRORS:
         return
-    # only a changed value (or a still-valid id) can go unnoticed
-    assert kind == "flip"
+    # only a changed value, index value (or a still-valid id) can go unnoticed
+    assert damage[0] == "flip"
     assert store.matrix.shape == (3, TINY.length)
+    assert store.index.rows.shape == (3, 2)
     assert len(set(store.ids())) == 3
+
+
+def test_damaged_v2_loads_or_raises_documented_error(tmp_path):
+    # in the checked-in v2 store the 32-byte header ends with phog_levels at
+    # byte 20, and the first id, "brin_β", has its u16 length at byte 32
+    path = tmp_path / "damaged.cmg"
+    for damage in [
+        ("truncate", 100, 0),
+        ("extend", b"\x00", 0),
+        ("flip", 21, 0x80),  # config
+        ("flip", 32, 0x01),  # id length
+        ("flip", 40, 0x61),  # id byte
+    ]:
+        path.write_bytes(_damage(STORE_V2.read_bytes(), damage))
+        with pytest.raises(CorruptEntryError):
+            load_store(path)
 
 
 # --- atomic save ---

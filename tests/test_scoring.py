@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from comogphog.featuredb import FeatureStore, load_store, save_store
+from comogphog import scoring
+from comogphog.featuredb import FeatureStore, build_index, load_store, save_store
 from comogphog.features import FeatureVector
-from comogphog.scoring import LengthMismatchError, ScoreResult, score, search
+from comogphog.scoring import LengthMismatchError, ScoreResult, _distances, score, search
 
 
 def fv(name, values):
@@ -171,3 +173,157 @@ def test_load_and_search_memory_is_bounded(tmp_path):
     # the 41 MB matrix is mapped, not copied; one entry list of objects
     # per row took 79 MB
     assert peak <= 8 * 2**20
+
+
+# --- pruned search against the full scan ---
+
+
+def indexed(matrix, names=None):
+    """A store with the index save_store would write, and one without (full scan)."""
+    ids = names or [f"r{i:04d}" for i in range(len(matrix))]
+    return (
+        FeatureStore(ids=ids, matrix=matrix, index=build_index(matrix)),
+        FeatureStore(ids=ids, matrix=matrix),
+    )
+
+
+def brute_force(store, q):
+    """Every row scored by score(), sorted by (distance, id)."""
+    return sorted((score(row, q), sid) for sid, row in zip(store.ids(), store.matrix))
+
+
+def hexed(hits):
+    return [(h.target_id, float.hex(h.distance)) for h in hits]
+
+
+def lattice(dims=6, length=64):
+    """All 3**dims vectors over {-1, 0, 1} in the first dims entries.
+
+    Every difference and square is exact, so distances tie bit for bit in
+    large groups, and every difference lies in the span of the axes, so
+    each bound is within rounding of its distance.
+    """
+    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * dims, indexing="ij"), -1)
+    out = np.zeros((3**dims, length))
+    out[:, :dims] = grid.reshape(-1, dims)
+    return out
+
+
+def pruning_cases():
+    """(name, matrix, queries) for the pruned-search oracle."""
+    rng = np.random.default_rng(21)
+    centers = rng.random((30, 1024))
+    clustered = centers[rng.integers(0, 30, 1500)] + rng.normal(scale=0.02, size=(1500, 1024))
+    yield "clustered", clustered, [
+        clustered[3],
+        clustered[700] + rng.normal(scale=0.01, size=1024),
+        (clustered[10] + clustered[11]) / 2,  # near tie between two rows
+        (centers[0] + centers[1]) / 2,
+    ]
+    diverse = rng.random((600, 256))
+    yield "diverse", diverse, [diverse[5], rng.random(256)]
+    dup = clustered[:400].copy()
+    dup[100:250] = dup[7]
+    yield "duplicates", dup, [dup[7], dup[7] + 1e-9, dup[300]]
+    same = np.repeat(clustered[:1], 300, axis=0)
+    yield "all equal", same, [same[0], clustered[1]]
+    grid = lattice()
+    yield "lattice ties", grid, [np.zeros(64), grid[400], grid[400] * 0.5]
+
+
+@pytest.mark.parametrize("case", list(pruning_cases()), ids=lambda c: c[0])
+def test_pruned_search_equals_full_scan(case):
+    _, matrix, queries = case
+    n = len(matrix)
+    # ids in shuffled order, so that id ties do not follow the row order
+    names = [f"r{k:04d}" for k in np.random.default_rng(n).permutation(n)]
+    pruned, full = indexed(matrix, names)
+    assert pruned.index.rank == min(32, n, matrix.shape[1])
+    for query in queries:
+        q = fv("q", query)
+        expect = [(sid, float.hex(d)) for d, sid in brute_force(full, q)]
+        for k in (1, 2, 10, 13, 64, 65, 73, 100, 233, n - 1, n, n + 5):
+            hits = hexed(search(pruned, q, k))
+            assert hits == expect[:k], (k, query[:3])
+            assert hexed(search(full, q, k)) == hits
+
+
+@pytest.mark.parametrize("case", list(adversarial_sets()), ids=lambda c: c[0])
+def test_pruned_search_on_adversarial_sets(case):
+    _, vectors, query = case
+    pruned, full = indexed(vectors)
+    q = fv("q", query)
+    for k in (1, 10, 100, len(vectors)):
+        assert hexed(search(pruned, q, k)) == hexed(search(full, q, k))
+
+
+def test_pruned_search_on_a_saved_store(tmp_path):
+    rng = np.random.default_rng(22)
+    centers = rng.random((12, 1024))
+    matrix = centers[rng.integers(0, 12, 900)] + rng.normal(scale=0.03, size=(900, 1024))
+    path = tmp_path / "s.cmg"
+    save_store(FeatureStore(ids=[f"s{i:03d}" for i in range(900)], matrix=matrix), path)
+    store = load_store(path)
+    assert store.index.rank == 32
+    for row in (0, 450, 899):
+        q = fv("q", matrix[row] + rng.normal(scale=0.01, size=1024))
+        expect = [(sid, float.hex(d)) for d, sid in brute_force(store, q)[:10]]
+        assert hexed(search(store, q, 10)) == expect
+
+
+def test_pruned_search_scores_few_rows_of_a_clustered_store(monkeypatch):
+    rng = np.random.default_rng(23)
+    centers = rng.random((40, 1024))
+    matrix = centers[rng.integers(0, 40, 3000)] + rng.normal(scale=0.02, size=(3000, 1024))
+    pruned, _ = indexed(matrix)
+    scored = []
+
+    def counting(m, q, rows=None):
+        scored.append(len(m) if rows is None else len(rows))
+        return _distances(m, q, rows)
+
+    monkeypatch.setattr(scoring, "_distances", counting)
+    for row in range(0, 3000, 300):
+        search(pruned, fv("q", matrix[row]), 10)
+    assert sum(scored) < 10 * 3000 / 4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pruned_search_on_one_or_two_rows(n):
+    rng = np.random.default_rng(n)
+    pruned, full = indexed(rng.random((n, 16)))
+    q = fv("q", rng.random(16))
+    for k in (1, 2, 3):
+        assert hexed(search(pruned, q, k)) == hexed(search(full, q, k))
+        assert len(search(pruned, q, k)) == min(k, n)
+    empty = np.empty((0, 16))
+    with pytest.raises(ValueError, match="empty"):
+        search(FeatureStore(ids=[], matrix=empty, index=build_index(empty)), q, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_row_with_a_non_finite_bound_is_scored(bad):
+    rng = np.random.default_rng(24)
+    centers = rng.random((10, 256))
+    matrix = centers[rng.integers(0, 10, 500)] + rng.normal(scale=0.02, size=(500, 256))
+    pruned, _ = indexed(matrix)
+    rows = pruned.index.rows.copy()
+    rows[123] = bad  # a damaged projection
+    store = FeatureStore(
+        ids=pruned.ids(),
+        matrix=matrix,
+        index=dataclasses.replace(pruned.index, rows=rows),
+    )
+    hits = search(store, fv("q", matrix[123]), 3)
+    assert hits[0].target_id == "r0123" and hits[0].distance == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_search_refuses_a_non_finite_distance(bad):
+    rng = np.random.default_rng(25)
+    matrix = rng.random((6, 32))
+    stores = indexed(matrix)
+    matrix[4, 9] = bad  # damaged after the index was built
+    for store in stores:
+        with pytest.raises(ValueError, match="non-finite distance .* 'r0004'"):
+            search(store, fv("q", rng.random(32)), 6)
