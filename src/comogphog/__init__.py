@@ -7,7 +7,7 @@ histograms.  Every structure becomes a 1024-entry descriptor, so comparing
 two structures is a single Euclidean distance, independent of their sizes.
 """
 
-from .distmat import distance_matrix, to_gray, write_pgm
+from .distmat import distance_matrix, to_gray
 from .evalstats import (
     ConfusionCounts,
     PairScores,
@@ -47,7 +47,6 @@ from .features import (
 )
 from .imageops import (
     GradientField,
-    bicubic_resize,
     gradient_field,
     haar_downsample,
     normalize_size,
@@ -56,11 +55,9 @@ from .scoring import ScoreResult, score, search
 from .structure_io import (
     CaTrace,
     ScopLabel,
-    family_match,
     parse_scop_label,
     parse_structure,
     read_label_table,
-    superfamily_match,
 )
 
 __version__ = "0.1.0"
@@ -83,14 +80,12 @@ __all__ = [
     "ScoredPair",
     "TooManyResiduesError",
     "auc",
-    "bicubic_resize",
     "comograd",
     "confusion_at_threshold",
     "default_thresholds",
     "distance_matrix",
     "export_csv",
     "extract_features",
-    "family_match",
     "gradient_field",
     "haar_downsample",
     "ingest_dir",
@@ -111,8 +106,6 @@ __all__ = [
     "score_pairs",
     "search",
     "sensitivity_specificity",
-    "superfamily_match",
     "to_gray",
     "write_curve_csv",
-    "write_pgm",
 ]

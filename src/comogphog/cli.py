@@ -27,7 +27,7 @@ import numpy as np
 
 from . import evalstats, featuredb
 from .evalstats import Polarity
-from .features import FEATURE_LENGTH, FeatureConfig
+from .features import FeatureConfig
 from .scoring import score, search
 from .structure_io import read_label_table
 
@@ -89,11 +89,6 @@ def cmd_extract(args) -> int:
     _require_at_least(1, "jobs", args.jobs)
     features, eval_bins = _load_config(args.config)
     _echo_config(features, eval_bins)
-    if features.length != FEATURE_LENGTH:
-        raise ValueError(
-            f"config gives {features.length}-entry vectors; extract writes the "
-            f"{FEATURE_LENGTH}-entry descriptor"
-        )
     labels = read_label_table(Path(args.labels).read_text()) if args.labels else None
     # checked before any extraction: save_store writes a temporary file there
     out_dir = Path(args.out).parent
@@ -149,23 +144,26 @@ def _is_store(path: str) -> bool:
 def cmd_evaluate(args) -> int:
     _require_at_least(1, "jobs", args.jobs)
     _require_at_least(1, "sample", args.sample)
+    _require_at_least(2, "eval-bins", args.eval_bins)
     features, eval_bins = _load_config(args.config)
-    _echo_config(features, eval_bins)
+    store = featuredb.load_store(args.input) if _is_store(args.input) else None
+    # a store's vectors were built with the geometry it records
+    _echo_config(features if store is None else store.config, eval_bins)
     if args.eval_bins is not None:
         eval_bins = args.eval_bins
-    _require_at_least(2, "eval-bins", eval_bins)
     labels = read_label_table(Path(args.labels).read_text())
 
-    if _is_store(args.input):
+    if store is not None:
         polarity = Polarity(args.polarity) if args.polarity else Polarity.LOWER_IS_SIMILAR
         pairs = evalstats.score_pairs(
-            featuredb.load_store(args.input),
+            store,
             labels,
             level=args.level,
             sample=args.sample,
             seed=args.seed,
             jobs=args.jobs,
         )
+        del store  # unmap the rows before the curves are built
     else:
         if not args.polarity:
             raise UsageError("--polarity {lower,higher} is required for external score files")

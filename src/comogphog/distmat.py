@@ -42,17 +42,3 @@ def to_gray(dist: np.ndarray) -> np.ndarray:
         return np.zeros_like(dist)
     return dist / peak
 
-
-def write_pgm(img: np.ndarray, path) -> None:
-    """Dump a [0, 1] grayscale image as a binary 8-bit PGM (debug aid).
-
-    Intensities are rounded to the nearest of 256 levels.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    h, w = img.shape
-    data = np.floor(img * 255.0 + 0.5).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())

@@ -357,8 +357,8 @@ def _level_key(level: str):
 def _label_codes(labels: list[ScopLabel], key) -> np.ndarray:
     """One integer per label, equal exactly when the labels' keys are equal.
 
-    With the key of a level, ``codes[a] == codes[b]`` agrees with
-    ``family_match`` / ``superfamily_match`` of the two labels.
+    With a key from ``_LEVEL_KEYS``, ``codes[a] == codes[b]`` exactly when
+    the two labels agree at that level.
     """
     table: dict[tuple, int] = {}
     return np.array([table.setdefault(key(lab), len(table)) for lab in labels], dtype=np.int32)
@@ -368,28 +368,10 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def pair_from_index(k: int, n: int) -> tuple[int, int]:
-    """Decode flat index k in [0, n*(n-1)/2) to the k-th pair (i, j), i < j.
+def pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode flat indices in [0, n*(n-1)/2) to int64 (i, j) arrays, i < j.
 
     Pairs are ordered lexicographically: (0,1), (0,2), ..., (1,2), ...
-    Integer binary search keeps the decoding exact for any n.
-    """
-    if not 0 <= k < pair_count(n):
-        raise ValueError(f"pair index {k} out of range for n={n}")
-    lo, hi = 0, n - 1
-    while lo < hi:  # largest i whose preceding rows hold <= k pairs
-        mid = (lo + hi + 1) // 2
-        if mid * (n - 1) - mid * (mid - 1) // 2 <= k:
-            lo = mid
-        else:
-            hi = mid - 1
-    before = lo * (n - 1) - lo * (lo - 1) // 2
-    return lo, lo + 1 + (k - before)
-
-
-def pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`pair_from_index`: int64 flat indices to (i, j) arrays.
-
     Row i starts at flat index i*(n-1) - i*(i-1)/2; a search of those exact
     int64 starts finds each index's row.
     """
@@ -567,7 +549,7 @@ def _format_unique(column: np.ndarray, fmt: str) -> np.ndarray:
     return text[inverse]
 
 
-def write_curve_csv(path, metric: str, polarity, x, value, count) -> None:
+def write_curve_csv(path, metric: str, polarity: Polarity, x, value, count) -> None:
     """Write (threshold_or_bin, value, count) rows under a one-line header.
 
     ``x`` and ``value`` are columns of floats, written with ``%.17g``;
@@ -575,12 +557,11 @@ def write_curve_csv(path, metric: str, polarity, x, value, count) -> None:
     header's first field names the metric and the score polarity, e.g.
     ``mcc:lower,value,count``.
     """
-    pol = polarity.value if isinstance(polarity, Polarity) else str(polarity)
     x = np.asarray(x, dtype=np.float64)
     value = np.asarray(value, dtype=np.float64)
     count = np.broadcast_to(np.asarray(count, dtype=np.int64), x.shape)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{metric}:{pol},value,count\n")
+        fh.write(f"{metric}:{polarity.value},value,count\n")
         for s in range(0, len(x), _CSV_CHUNK):
             chunk = slice(s, s + _CSV_CHUNK)
             rows = _format_unique(x[chunk], "%.17g") + ","

@@ -63,37 +63,6 @@ def _resample_weights(n_src: int, n_dst: int) -> np.ndarray:
     return w
 
 
-def bicubic_resize(img: np.ndarray, out_h: int, out_w: int, clamp: bool = True) -> np.ndarray:
-    """Separable cubic-convolution resampling (a = -0.5) with replicated edges.
-
-    A square input resized to a square output uses one weight matrix for
-    both rows and columns.
-
-    Parameters
-    ----------
-    img : 2-D array
-    out_h, out_w : target dimensions, each >= 1
-    clamp : clip the result into [0, 1] (cubic interpolation can overshoot);
-        pass False to see the raw linear resampling.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    if img.shape[0] < 1 or img.shape[1] < 1:
-        raise ValueError("empty input image")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("output dimensions must be >= 1")
-    wr = _resample_weights(img.shape[0], out_h)
-    if (img.shape[1], out_w) == (img.shape[0], out_h):
-        wc = wr
-    else:
-        wc = _resample_weights(img.shape[1], out_w)
-    out = wr @ img @ wc.T
-    if clamp:
-        np.clip(out, 0.0, 1.0, out=out)
-    return out
-
-
 def haar_downsample(img: np.ndarray) -> np.ndarray:
     """One low-low wavelet level: each output pixel is its 2x2 block mean."""
     img = np.asarray(img, dtype=np.float64)

@@ -54,7 +54,7 @@ class CaTrace:
 _COORD_END = 54
 
 
-def parse_structure(text: str, fmt: str = "pdb", structure_id: str = "") -> CaTrace:
+def parse_structure(text: str, structure_id: str = "") -> CaTrace:
     """Extract the ordered CA trace from PDB-format text.
 
     Only fixed-column ATOM records are considered; HETATM and all other
@@ -71,8 +71,6 @@ def parse_structure(text: str, fmt: str = "pdb", structure_id: str = "") -> CaTr
     NoCaAtomsError
         If fewer than two CA atoms are found.
     """
-    if fmt != "pdb":
-        raise ValueError(f"unsupported structure format {fmt!r}")
     coords: list[tuple[float, float, float]] = []
     seen: set[tuple[str, str, str]] = set()
     model = 0
@@ -130,25 +128,6 @@ def parse_scop_label(sid: str, sccs: str) -> ScopLabel:
         raise BadSccsError(f"{sid!r}: numeric levels must be positive in {sccs!r}")
     return ScopLabel(
         sid=sid, sccs_class=m.group(1), fold=fold, superfamily=superfamily, family=family
-    )
-
-
-def family_match(a: ScopLabel, b: ScopLabel) -> bool:
-    """True when all four levels (class, fold, superfamily, family) agree."""
-    return (
-        a.sccs_class == b.sccs_class
-        and a.fold == b.fold
-        and a.superfamily == b.superfamily
-        and a.family == b.family
-    )
-
-
-def superfamily_match(a: ScopLabel, b: ScopLabel) -> bool:
-    """True when class, fold and superfamily agree (family may differ)."""
-    return (
-        a.sccs_class == b.sccs_class
-        and a.fold == b.fold
-        and a.superfamily == b.superfamily
     )
 
 

@@ -46,7 +46,6 @@ from comogphog.featuredb import (
     save_store,
 )
 from comogphog.imageops import (
-    bicubic_resize,
     gradient_field,
     haar_downsample,
     normalize_size,
@@ -273,13 +272,15 @@ def test_acceptance_3_stage_oracles():
                     ) / 4.0
             assert np.array_equal(haar_downsample(img), blocks)
 
-        # separable resampler equals the scalar 4x4-tap evaluator
+        # the one-step upsample (n below the working size) equals the
+        # scalar 4x4-tap evaluator, clamped
         for _ in range(20):
-            in_h, in_w = (int(v) for v in rng.integers(2, 17, 2))
-            out_h, out_w = (int(v) for v in rng.integers(2, 25, 2))
-            img = rng.random((in_h, in_w))
-            got = bicubic_resize(img, out_h, out_w, clamp=False)
-            assert np.abs(got - _resize_reference(img, out_h, out_w)).max() <= TOL_STAGE
+            size = 1 << int(rng.integers(2, 6))
+            n = int(rng.integers(2, size))
+            img = rng.random((n, n))
+            got = normalize_size(img, size)
+            want = np.clip(_resize_reference(img, size, size), 0.0, 1.0)
+            assert np.abs(got - want).max() <= TOL_STAGE
 
         # co-occurrence and pyramid histograms equal brute-force enumeration
         # over the very field the extractor uses

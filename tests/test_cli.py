@@ -19,7 +19,7 @@ from comogphog.evalstats import (
     score_pairs,
 )
 from comogphog.featuredb import FeatureStore, load_store, save_store
-from comogphog.features import FEATURE_LENGTH, MAX_RESIDUES, FeatureVector
+from comogphog.features import FEATURE_LENGTH, MAX_RESIDUES, FeatureConfig, FeatureVector
 from comogphog.scoring import score, search
 from comogphog.structure_io import parse_structure, read_label_table
 from comogphog.synthetic import (
@@ -185,7 +185,7 @@ def test_extract_into_missing_directory_fails_before_extracting(corpus, tmp_path
         {"mystery_knob": 3},
         {"image_size": 100},
         {"eval_bins": 1},
-        {"bins_comograd": 8},  # valid geometry but not the store's vector length
+        {"phog_levels": 8},  # a pyramid deeper than the 128-pixel image
         {"image_size": "128"},
         {"image_size": 64.0},
         {"eval_bins": 2.5},
@@ -199,6 +199,32 @@ def test_extract_rejects_bad_config(corpus, tmp_path, capsys, cfg):
     code, _, stderr = run(capsys, "extract", pdb_dir, tmp_path / "out.cmg", "--config", path)
     assert code == 1
     assert "error" in stderr
+
+
+def test_extract_search_evaluate_with_any_valid_geometry(corpus, tmp_path, capsys):
+    # 8 x 8 co-occurrence bins and the 768-entry pyramid: 832-entry vectors
+    pdb_dir, labels = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bins_comograd": 8}')
+    out = tmp_path / "b8.cmg"
+    code, stdout, stderr = run(capsys, "extract", pdb_dir, out, "--config", cfg)
+    assert code == 0 and stdout == f"wrote 8 entries to {out}\n"
+    assert "bins_comograd=8" in stderr
+    store = load_store(out)
+    assert store.config == FeatureConfig(comograd_bins=8)
+    assert store.matrix.shape == (8, 832)
+
+    code, stdout, stderr = run(capsys, "search", out, pdb_dir / "ext3.pdb")
+    assert code == 0 and "bins_comograd=8" in stderr
+    assert stdout.splitlines()[0] == "1,ext3,0"
+    assert len(stdout.splitlines()) == 8
+
+    code, stdout, stderr = run(capsys, "evaluate", out, tmp_path / "eval", "--labels", labels)
+    assert code == 0
+    assert "pairs= 28" in stdout and "matches= 12" in stdout
+    assert stderr.splitlines()[0] == (
+        "config: bins_comograd=8 bins_phog=9 phog_levels=3 image_size=128 eval_bins=200"
+    )
 
 
 def test_extract_accepts_benign_config(corpus, tmp_path, capsys):
@@ -468,6 +494,21 @@ def test_evaluate_matches_library_curves(corpus, store_path, tmp_path, capsys):
             assert float(row[1]) == p
         else:
             assert math.isnan(float(row[1]))
+
+
+def test_evaluate_echoes_the_store_geometry(corpus, tmp_path, capsys):
+    # without --config, the config line shows the store's geometry, not
+    # the defaults
+    pdb_dir, labels = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"image_size": 64}')
+    store = tmp_path / "small.cmg"
+    assert run(capsys, "extract", pdb_dir, store, "--config", cfg)[0] == 0
+    code, _, stderr = run(capsys, "evaluate", store, tmp_path / "eval", "--labels", labels)
+    assert code == 0
+    assert stderr.splitlines()[0] == (
+        "config: bins_comograd=16 bins_phog=9 phog_levels=3 image_size=64 eval_bins=200"
+    )
 
 
 def test_evaluate_eval_bins_flag(corpus, store_path, tmp_path, capsys):

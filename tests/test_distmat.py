@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comogphog.distmat import distance_matrix, to_gray, write_pgm
+from comogphog.distmat import distance_matrix, to_gray
 from comogphog.structure_io import CaTrace
 from comogphog.synthetic import random_rotation, random_walk_trace, transform
 
@@ -98,13 +98,3 @@ def test_to_gray_scale_cancels(k):
     d = distance_matrix(random_walk_trace(12, seed=5))
     assert np.allclose(to_gray(k * d), to_gray(d), rtol=1e-12, atol=1e-15)
 
-
-def test_write_pgm(tmp_path):
-    img = np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 0.999]])
-    path = tmp_path / "img.pgm"
-    write_pgm(img, path)
-    blob = path.read_bytes()
-    header = b"P5\n3 2\n255\n"
-    assert blob.startswith(header)
-    # rounded intensity * 255
-    assert blob[len(header):] == bytes([0, 128, 255, 64, 191, 255])

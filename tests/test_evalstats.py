@@ -24,7 +24,6 @@ from comogphog.evalstats import (
     mcc,
     mcc_curve,
     pair_count,
-    pair_from_index,
     pairs_from_indices,
     pvalue_curve,
     read_score_file,
@@ -37,7 +36,8 @@ from comogphog.evalstats import (
 from comogphog.featuredb import FeatureStore
 from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score
-from comogphog.structure_io import family_match, parse_scop_label, superfamily_match
+from comogphog.structure_io import parse_scop_label
+from oracles import family_match, pair_from_index, superfamily_match
 
 LOWER = Polarity.LOWER_IS_SIMILAR
 HIGHER = Polarity.HIGHER_IS_SIMILAR

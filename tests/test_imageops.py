@@ -10,13 +10,13 @@ from comogphog.distmat import distance_matrix, to_gray
 from comogphog.imageops import (
     OddDimensionError,
     _resample_weights,
-    bicubic_resize,
     cubic_kernel,
     gradient_field,
     haar_downsample,
     normalize_size,
 )
 from comogphog.synthetic import random_walk_trace
+from oracles import bicubic_resize
 
 
 # --- standalone cubic-convolution oracle (scalar, per output pixel) ---

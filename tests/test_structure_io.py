@@ -9,12 +9,11 @@ from comogphog.structure_io import (
     MalformedRecordError,
     NoCaAtomsError,
     ScopLabel,
-    family_match,
     parse_scop_label,
     parse_structure,
     read_label_table,
-    superfamily_match,
 )
+from oracles import family_match, superfamily_match
 
 
 def atom_line(serial, x, y, z, name=" CA ", altloc=" ", chain="A", resseq=1, icode=" ", record="ATOM  "):
@@ -122,11 +121,6 @@ def test_reparsing_is_deterministic():
     b = parse_structure(text, structure_id="x")
     assert a.id == b.id
     assert np.array_equal(a.coords, b.coords)
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
-        parse_structure("anything", fmt="mmcif")
 
 
 def test_trace_validation():
