@@ -116,16 +116,21 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _check_store_geometry(config: str | None, features: FeatureConfig, store, path: str) -> None:
+    """Refuse a ``--config`` whose geometry differs from the one ``store`` was built with."""
+    if config and features != store.config:
+        raise ValueError(
+            f"--config gives {_geometry(features)}, but {path} "
+            f"was built with {_geometry(store.config)}"
+        )
+
+
 def cmd_search(args) -> int:
     _require_at_least(1, "k", args.k)
     features, eval_bins = _load_config(args.config)
     store = featuredb.load_store(args.store)
     # the query is extracted with the geometry the store was built with
-    if args.config and features != store.config:
-        raise ValueError(
-            f"--config gives {_geometry(features)}, but {args.store} "
-            f"was built with {_geometry(store.config)}"
-        )
+    _check_store_geometry(args.config, features, store, args.store)
     _echo_config(store.config, eval_bins)
     hits = search(store, featuredb.extract_file(args.query, store.config), args.k)
     for rank, hit in enumerate(hits, start=1):
@@ -148,6 +153,8 @@ def cmd_evaluate(args) -> int:
     features, eval_bins = _load_config(args.config)
     store = featuredb.load_store(args.input) if _is_store(args.input) else None
     # a store's vectors were built with the geometry it records
+    if store is not None:
+        _check_store_geometry(args.config, features, store, args.input)
     _echo_config(features if store is None else store.config, eval_bins)
     if args.eval_bins is not None:
         eval_bins = args.eval_bins

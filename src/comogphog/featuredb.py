@@ -20,13 +20,19 @@ Store layout, format v3 (little-endian throughout):
 
 The index (:class:`ProjectionIndex`) is a pure function of the matrix
 bytes; :func:`comogphog.scoring.search` uses it to skip rows that cannot
-be among the nearest.  Format v2 (still read, never written) has no blob
-length, rank or index: after the vector length, per entry a u16 id byte
-length and the UTF-8 id, zero bytes up to the next multiple of 8, then the
-matrix.  Format v1 (still read, never written) holds the count, then per
-entry the id length, the id and 1024 float64 values; it implies the
-default config.  v1 and v2 stores load with a rank-0 index.  Raw float64
-bytes round-trip bit-exactly.
+be among the nearest, and reads the rows it does score through
+:meth:`FeatureStore.read_rows`.  A loaded v3 store maps the header, ids
+and index, keeps the file open, and maps the matrix only when
+``matrix`` is first used: until then rows are read with ``preadv``, so a
+search that scores a few rows keeps only those in memory.
+
+Format v2 (still read, never written) has no blob length, rank or index:
+after the vector length, per entry a u16 id byte length and the UTF-8 id,
+zero bytes up to the next multiple of 8, then the matrix.  Format v1
+(still read, never written) holds the count, then per entry the id
+length, the id and 1024 float64 values; it implies the default config.
+v1 and v2 stores load with a rank-0 index and map or read the matrix
+whole.  Raw float64 bytes round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import mmap
 import os
 import secrets
 import struct
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +61,7 @@ _SECTIONS = struct.Struct("<QI")
 _IDLEN = struct.Struct("<H")
 _V1_VEC_BYTES = FEATURE_LENGTH * 8
 _MATRIX_ALIGN = 4096
+_PREADV = hasattr(os, "preadv")  # not on Windows: rows come from the map there
 
 # The index: r axes fitted by randomized subspace iteration (Halko,
 # Martinsson & Tropp 2011) on a strided sample of rows, started from a
@@ -180,6 +188,51 @@ def build_index(matrix: np.ndarray) -> ProjectionIndex:
     return index
 
 
+class _MatrixFile:
+    """The matrix section of an open store file: ``shape`` float64 rows at ``offset``.
+
+    Holds a duplicate of the file's descriptor, closed when this object
+    goes or by :meth:`close`.  The descriptor pins the file that was
+    loaded, so rows read later come from it even after the path is
+    replaced.
+    """
+
+    def __init__(self, fh, path, offset: int, shape: tuple[int, int]):
+        self.path, self.offset, self.shape = path, offset, shape
+        self.fd = os.dup(fh.fileno())
+        self.close = weakref.finalize(self, os.close, self.fd)
+
+    def _short(self) -> CorruptEntryError:
+        return CorruptEntryError(f"{self.path}: file is shorter than its header says")
+
+    def map(self) -> np.ndarray:
+        """The whole matrix, mapped copy-on-write (see :func:`_map`)."""
+        skip = self.offset % mmap.ALLOCATIONGRANULARITY
+        size = math.prod(self.shape)
+        try:
+            buf = _map(self.fd, skip + 8 * size, self.offset - skip)
+        except ValueError:  # the file shrank after it was loaded
+            raise self._short() from None
+        return np.frombuffer(buf, dtype="<f8", count=size, offset=skip).reshape(self.shape)
+
+    def read_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Read matrix ``rows`` into the C-contiguous ``'<f8'`` array ``out``.
+
+        One ``preadv`` per run of consecutive row numbers; a read that
+        comes back short raises :class:`CorruptEntryError`.
+        """
+        if not len(rows):
+            return
+        view = memoryview(out)  # sliced by row
+        cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+        starts = [0, *cuts]
+        at = (rows[starts].astype(np.int64) * (8 * self.shape[1]) + self.offset).tolist()
+        for a, b, pos in zip(starts, [*cuts, len(rows)], at):
+            want = view[a:b]
+            if os.preadv(self.fd, [want], pos) != want.nbytes:
+                raise self._short()
+
+
 class FeatureStore:
     """An ordered collection of descriptors with unique ids.
 
@@ -193,6 +246,10 @@ class FeatureStore:
     example with :func:`build_index`) before searching.  ``version`` is
     the format the store was read from; :func:`save_store` always writes
     the current one, with a freshly built index.
+
+    A v3 store from :func:`load_store` holds its file open and maps
+    ``matrix`` the first time it is used; before that,
+    :meth:`read_rows` reads rows from the file.
     """
 
     def __init__(
@@ -213,10 +270,41 @@ class FeatureStore:
                 else np.empty((0, config.length))
             )
         self._ids = list(ids)
-        self.matrix = matrix
+        self._matrix = matrix
+        self._file: _MatrixFile | None = None
         self.config = config
         self.version = version
         self.index = ProjectionIndex.none(*matrix.shape) if index is None else index
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (count, length) float64 rows, mapped from the file on first use."""
+        if self._matrix is None:
+            self._matrix = self._file.map()
+            self._file.close()
+            self._file = None
+        return self._matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``matrix.shape``, without mapping it."""
+        return self._matrix.shape if self._file is None else self._file.shape
+
+    def read_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Copy ``matrix[rows]`` into the C-contiguous ``'<f8'`` array ``out``.
+
+        ``rows`` must be valid row numbers.  Until ``matrix`` is first used
+        the rows are read from the store file, one read per run of
+        consecutive row numbers, so sorted rows read fastest; after that
+        (and for stores not loaded from v3) they are copied from
+        ``matrix``, so every write into it is seen.
+        """
+        if self._file is None or not _PREADV:
+            # in range, so "clip" lets take write straight into out
+            # instead of buffering for its bounds check
+            np.take(self.matrix, rows, axis=0, out=out, mode="clip")
+        else:
+            self._file.read_rows(rows, out)
 
     def ids(self) -> list[str]:
         return list(self._ids)
@@ -230,6 +318,15 @@ class FeatureStore:
         return len(self._ids)
 
 
+def _is_utf8(text: str) -> bool:
+    """False for text with a lone surrogate, such as a file name that is not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_store(store: FeatureStore) -> np.ndarray:
     """Validate a store for saving; returns its matrix as little-endian float64."""
     seen: set[str] = set()
@@ -238,6 +335,8 @@ def _check_store(store: FeatureStore) -> np.ndarray:
             raise ValueError(f"duplicate id {sid!r} in store")
         if "\0" in sid:
             raise ValueError(f"id {sid!r} contains a NUL character")
+        if not _is_utf8(sid):
+            raise ValueError(f"id {sid!r} is not valid UTF-8 text")
         seen.add(sid)
     store.config.validate()
     want = (len(store), store.config.length)
@@ -263,8 +362,9 @@ def save_store(store: FeatureStore, path) -> None:
     The file is written under a temporary name in the same directory and
     then renamed over ``path``, so readers (and maps) of the old file keep
     its bytes and a failed write leaves the old file in place.  Raises
-    ValueError on duplicate ids, an id containing NUL, a matrix that does
-    not fit the config, or a value that is not finite.
+    ValueError on duplicate ids, an id containing NUL or a lone surrogate
+    (ids are stored as UTF-8), a matrix that does not fit the config, or a
+    value that is not finite.
     """
     matrix = _check_store(store)
     cfg = store.config
@@ -350,11 +450,11 @@ def _read_geometry(fh, path) -> FeatureConfig:
     return config
 
 
-def _map(fh):
+def _map(fd: int, length: int = 0, offset: int = 0) -> mmap.mmap:
     # A private (copy-on-write) map: the values are writable, writes stay
     # in this process, and a store file replaced by save_store keeps the
     # old bytes mapped.
-    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return mmap.mmap(fd, length, access=mmap.ACCESS_COPY, offset=offset)
 
 
 def _load_v2(fh, path, count: int) -> FeatureStore:
@@ -367,7 +467,7 @@ def _load_v2(fh, path, count: int) -> FeatureStore:
     offset = size - count * length * 8
     if offset < start + count * _IDLEN.size:
         raise CorruptEntryError(f"{path}: file too short for {count} entries")
-    buf = _map(fh)
+    buf = _map(fh.fileno())
     ids: list[str] = []
     pos = start
     for _ in range(count):
@@ -400,7 +500,8 @@ def _load_v3(fh, path, count: int) -> FeatureStore:
     matrix_at = index_end + _pad(index_end, _MATRIX_ALIGN)
     if os.fstat(fh.fileno()).st_size != matrix_at + 8 * count * length:
         raise CorruptEntryError(f"{path}: file size does not match its header")
-    buf = _map(fh)
+    # [0, matrix_at) ends on a page, so no fault on this map reaches the matrix
+    buf = _map(fh.fileno(), matrix_at)
     try:
         ids = str(buf[start : start + blob_len], "utf-8").split("\0")
     except UnicodeDecodeError as exc:
@@ -422,9 +523,12 @@ def _load_v3(fh, path, count: int) -> FeatureStore:
     if not np.isfinite(mean).all() or not departure <= _MAX_DEPARTURE:
         raise CorruptEntryError(f"{path}: index axes are not orthonormal or mean not finite")
     index = ProjectionIndex(mean, axes, f64(rows_at, count, rank), departure)
-    return FeatureStore(
-        ids=ids, matrix=f64(matrix_at, count, length), config=config, version=3, index=index
-    )
+    if not count:
+        matrix = np.empty((0, length))
+        return FeatureStore(ids=ids, matrix=matrix, config=config, version=3, index=index)
+    store = FeatureStore(ids=ids, config=config, version=3, index=index)
+    store._file = _MatrixFile(fh, path, matrix_at, (count, length))
+    return store
 
 
 _LOADERS = {1: _load_v1, 2: _load_v2, 3: _load_v3}
@@ -433,8 +537,10 @@ _LOADERS = {1: _load_v1, 2: _load_v2, 3: _load_v3}
 def load_store(path) -> FeatureStore:
     """Read a store (format v1, v2 or v3), verifying magic, version and framing.
 
-    The matrix (and a v3 index) is mapped, not read; only the header, the
-    ids and the index axes are checked.
+    Only the header, the ids and the index axes are checked.  A v2
+    matrix is mapped copy-on-write.  A v3 store maps its header, ids and
+    index, and keeps the file open: search reads the rows it scores with
+    ``preadv``, and the matrix is mapped when ``matrix`` is first used.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -484,9 +590,10 @@ def ingest_dir(
     Entries take the file stem as id and come out sorted by id, so the
     resulting store bytes are identical across runs and across ``jobs``
     settings.  Files that fail to parse are skipped and reported through
-    ``report(name, status, detail)``, as are duplicate stems and (when a
-    label map is given) files without a label.  Descriptors are built
-    with ``config``, which the store records.
+    ``report(name, status, detail)``, as are file names that are not
+    UTF-8, duplicate stems and (when a label map is given) files without
+    a label.  Descriptors are built with ``config``, which the store
+    records.
 
     Raises :class:`EmptyCorpusError` when nothing survives.
     """
@@ -500,6 +607,11 @@ def ingest_dir(
         if not p.is_file():
             continue
         sid = p.stem
+        if not _is_utf8(sid):
+            # named with its bytes escaped, so that the report can be printed
+            name = os.fsencode(p.name).decode("utf-8", "backslashreplace")
+            say(name, "skip", "file name is not UTF-8")
+            continue
         if sid in seen:
             say(p.name, "skip", "duplicate id")
             continue

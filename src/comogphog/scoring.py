@@ -50,26 +50,26 @@ def score(fq, fi) -> float:
     return math.sqrt(float(np.dot(d, d)))
 
 
-def _distances(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """``score()`` of every row of ``matrix`` (or of ``rows`` of it) against ``q``, bit for bit.
+def _distances(db: FeatureStore, q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """``score()`` of every row of ``db`` (or of ``rows`` of it) against ``q``, bit for bit.
 
     numpy evaluates each (1, n) @ (n, 1) core of the stacked matmul with
     the same dot loop as ``np.dot`` on two 1-D arrays, so every distance
     equals ``score()``; ``(d * d).sum(axis=1)`` and ``einsum`` add in
-    another order and do not.  Listed rows are gathered a block at a time
-    into one reused buffer.
+    another order and do not.  The whole store is read in place from
+    ``db.matrix``; listed rows are fetched a block at a time with
+    :meth:`~comogphog.featuredb.FeatureStore.read_rows` into one reused
+    buffer, so a loaded store reads only those rows from its file.
     """
-    count = len(matrix) if rows is None else len(rows)
+    count = len(db) if rows is None else len(rows)
     out = np.empty(count)
-    buf = np.empty((min(_BLOCK, count), q.size))
+    buf = np.empty((min(_BLOCK, count), q.size), dtype="<f8")
     for s in range(0, count, _BLOCK):
         d = buf[: min(_BLOCK, count - s)]
         if rows is None:
-            np.subtract(matrix[s : s + _BLOCK], q, out=d)
+            np.subtract(db.matrix[s : s + _BLOCK], q, out=d)
         else:
-            # rows come from argsort, so in range; "clip" lets take write
-            # straight into d instead of buffering for its bounds check
-            np.take(matrix, rows[s : s + _BLOCK], axis=0, out=d, mode="clip")
+            db.read_rows(rows[s : s + _BLOCK], out=d)
             d -= q
         np.matmul(d[:, None, :], d[:, :, None], out=out[s : s + _BLOCK, None, None])
     return np.sqrt(out, out=out)
@@ -139,11 +139,10 @@ def search(db, query, k: int) -> list[ScoreResult]:
         raise ValueError(f"k must be >= 1, got {k}")
     if not isinstance(db, FeatureStore):
         db = FeatureStore(db)
-    ids, matrix, index = db.ids(), db.matrix, db.index
+    ids, (n, length), index = db.ids(), db.shape, db.index
     q = _values(query)
-    if matrix.shape[1:] != q.shape:
-        raise LengthMismatchError(f"vector shapes differ: {matrix.shape[1:]} vs {q.shape}")
-    n = len(matrix)
+    if (length,) != q.shape:
+        raise LengthMismatchError(f"vector shapes differ: {(length,)} vs {q.shape}")
     size = n if index.rank == 0 or k >= n else max(k, _FIRST_BATCH)
     if size < n:
         diff = index.rows - index.axes @ (q - index.mean)
@@ -157,9 +156,11 @@ def search(db, query, k: int) -> list[ScoreResult]:
     rows, dists = [], []
     done = 0
     while True:
-        batch = order[done : done + size]
+        # in row order, so a loaded store reads runs of adjacent rows at once;
+        # the order within a batch does not change the hits
+        batch = np.sort(order[done : done + size])
         # the whole store in its own order is read in place
-        d = _distances(matrix, q, None if len(batch) == n else batch)
+        d = _distances(db, q, None if len(batch) == n else batch)
         bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
             raise ValueError(f"non-finite distance {d[bad[0]]} to {ids[batch[bad[0]]]!r}")

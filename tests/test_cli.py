@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -160,6 +162,21 @@ def test_search_and_score_refuse_a_trace_over_the_residue_cap(
         assert code == 1
         assert stdout == ""
         assert f"error: 'long' has {MAX_RESIDUES + 1} CA atoms" in stderr
+
+
+def test_extract_skips_a_file_name_that_is_not_utf8(corpus, store_path, tmp_path, capsys):
+    pdb_dir, _ = corpus
+    odd_dir = tmp_path / "odd"
+    shutil.copytree(pdb_dir, odd_dir)
+    try:
+        (odd_dir / os.fsdecode(b"x\xff.pdb")).write_text((pdb_dir / "hel0.pdb").read_text())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    out = tmp_path / "odd.cmg"
+    code, _, stderr = run(capsys, "extract", odd_dir, out)
+    assert code == 0
+    assert "skip x\\xff.pdb: file name is not UTF-8" in stderr.splitlines()
+    assert out.read_bytes() == store_path.read_bytes()
 
 
 def test_extract_missing_dir_exits_1(tmp_path, capsys):
@@ -509,6 +526,18 @@ def test_evaluate_echoes_the_store_geometry(corpus, tmp_path, capsys):
     assert stderr.splitlines()[0] == (
         "config: bins_comograd=16 bins_phog=9 phog_levels=3 image_size=64 eval_bins=200"
     )
+
+
+def test_evaluate_refuses_other_geometry(corpus, store_path, tmp_path, capsys):
+    _, labels = corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"image_size": 64}')
+    out = tmp_path / "eval"
+    code, stdout, stderr = run(
+        capsys, "evaluate", store_path, out, "--labels", labels, "--config", cfg
+    )
+    assert code == 1 and stdout == "" and not out.exists()
+    assert "image_size=64" in stderr and "image_size=128" in stderr
 
 
 def test_evaluate_eval_bins_flag(corpus, store_path, tmp_path, capsys):

@@ -21,6 +21,7 @@ from comogphog.featuredb import (
     save_store,
 )
 from comogphog.features import FEATURE_LENGTH, FeatureConfig, FeatureVector, extract_features
+from comogphog.scoring import search
 from comogphog.structure_io import parse_structure
 from comogphog.synthetic import ca_trace_to_pdb, extended_trace, helix_trace
 
@@ -65,7 +66,12 @@ def test_round_trip_bit_exact(tmp_path):
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
-        st.text(st.characters(blacklist_characters="\0"), min_size=1, max_size=12),
+        # stored ids are UTF-8, so no lone surrogates (category Cs)
+        st.text(
+            st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)),
+            min_size=1,
+            max_size=12,
+        ),
         min_size=1,
         max_size=4,
         unique=True,
@@ -131,6 +137,13 @@ def test_save_rejects_an_id_with_nul(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_save_rejects_an_id_with_a_lone_surrogate(tmp_path):
+    # how a file name that is not UTF-8 decodes (os.fsdecode(b"x\xff"))
+    with pytest.raises(ValueError, match=r"id 'x\\udcff' is not valid UTF-8"):
+        save_store(make_store(["a", "x\udcff"]), tmp_path / "s.cmgp")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_rejects_non_finite_values(tmp_path, bad):
     store = make_store(["a", "b", "c"], seed=4)
@@ -193,6 +206,19 @@ def test_ingest_skips_duplicate_stems(corpus):
     store = ingest_dir(corpus, report=lambda *a: events.append(a))
     assert store.ids() == ["helA", "strB"]
     assert any(e[1] == "skip" and e[2] == "duplicate id" for e in events)
+
+
+def test_ingest_skips_a_file_name_that_is_not_utf8(corpus, tmp_path):
+    odd = corpus / os.fsdecode(b"x\xff.pdb")
+    try:
+        odd.write_text(ca_trace_to_pdb(helix_trace(18, "odd")))
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    events = []
+    store = ingest_dir(corpus, report=lambda *a: events.append(a))
+    assert store.ids() == ["helA", "strB"]
+    assert ("x\\xff.pdb", "skip", "file name is not UTF-8") in events
+    save_store(store, tmp_path / "s.cmg")
 
 
 def test_ingest_label_filter(corpus):
@@ -513,3 +539,20 @@ def test_failed_save_leaves_old_file(tmp_path, monkeypatch):
         save_store(make_store(["b"], seed=2), path)
     assert path.read_bytes() == old
     assert sorted(os.listdir(tmp_path)) == ["s.cmg"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_loading_and_dropping_stores_keeps_no_descriptor(tmp_path):
+    path = tmp_path / "s.cmg"
+    store = make_store([f"e{i:02d}" for i in range(70)], seed=12)
+    save_store(store, path)
+    q = store.matrix[7] + 1e-3
+    del store
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(100):
+        loaded = load_store(path)
+        assert search(loaded, q, 5)[0].target_id == "e07"  # reads rows from the file
+        if i % 2:
+            loaded.matrix  # maps the matrix
+        del loaded
+    assert len(os.listdir("/proc/self/fd")) == before

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -170,8 +172,8 @@ def test_load_and_search_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(hits) == 10
-    # the 41 MB matrix is mapped, not copied; one entry list of objects
-    # per row took 79 MB
+    # the 41 MB matrix is not copied: only the scored rows are read; one
+    # entry list of objects per row took 79 MB
     assert peak <= 8 * 2**20
 
 
@@ -327,3 +329,75 @@ def test_search_refuses_a_non_finite_distance(bad):
     for store in stores:
         with pytest.raises(ValueError, match="non-finite distance .* 'r0004'"):
             search(store, fv("q", rng.random(32)), 6)
+
+
+# --- rows read from a loaded v3 store ---
+
+
+def clustered_store(tmp_path, seed, n=900):
+    """A saved clustered store, its path and its matrix."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((12, 1024))
+    matrix = centers[rng.integers(0, 12, n)] + rng.normal(scale=0.03, size=(n, 1024))
+    path = tmp_path / f"s{seed}.cmg"
+    save_store(FeatureStore(ids=[f"s{i:03d}" for i in range(n)], matrix=matrix), path)
+    return path, matrix
+
+
+def test_search_sees_a_write_into_a_loaded_store(tmp_path):
+    path, matrix = clustered_store(tmp_path, 26)
+    store = load_store(path)
+    q = fv("q", matrix[700] + 1e-3)
+    before = hexed(search(store, q, 10))  # rows read from the file
+    store.entries[5].values[:] = q.values  # row 5 now at distance 0
+    store.index = build_index(store.matrix)
+    hits = hexed(search(store, q, 10))
+    expect = [(sid, float.hex(d)) for d, sid in brute_force(store, q)[:10]]
+    assert hits == expect and hits[0] == ("s005", float.hex(0.0))
+    assert hits != before and path.read_bytes()[-matrix.nbytes :] == matrix.tobytes()
+
+
+def test_a_loaded_store_answers_from_its_own_file_after_a_resave(tmp_path):
+    path, matrix = clustered_store(tmp_path, 27)
+    store = load_store(path)
+    other = np.random.default_rng(28).random(matrix.shape)
+    save_store(FeatureStore(ids=store.ids(), matrix=other), path)
+    original = FeatureStore(ids=store.ids(), matrix=matrix)
+    for row in (3, 450):
+        q = fv("q", matrix[row] + 1e-3)
+        expect = [(sid, float.hex(d)) for d, sid in brute_force(original, q)[:10]]
+        assert hexed(search(store, q, 10)) == expect
+    assert store.matrix.tobytes() == matrix.tobytes()
+
+
+# Loads a store, cuts its file back to where the matrix starts, then
+# searches it: exits 3 on CorruptEntryError, printing it.
+_CUT_SHORT_SEARCH = """
+import os, sys
+import numpy as np
+from comogphog.featuredb import CorruptEntryError, load_store
+from comogphog.scoring import search
+
+path, matrix_at = sys.argv[1], int(sys.argv[2])
+store = load_store(path)
+os.truncate(path, matrix_at)
+try:
+    search(store, np.full(1024, 0.5), 10)
+except CorruptEntryError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_search_of_a_store_cut_short_after_loading_raises(tmp_path):
+    # cp onto a loaded store truncates it in place; reading a row that is
+    # gone must raise, not kill the process with SIGBUS
+    path, matrix = clustered_store(tmp_path, 29, n=200)
+    matrix_at = path.stat().st_size - matrix.nbytes
+    proc = subprocess.run(
+        [sys.executable, "-c", _CUT_SHORT_SEARCH, str(path), str(matrix_at)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == f"{path}: file is shorter than its header says\n"
