@@ -22,10 +22,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from comogphog.evalstats import (
     DEFAULT_EVAL_BINS,
+    PairScores,
     Polarity,
-    ScoredPair,
     auc,
     default_thresholds,
     mcc_curve,
@@ -48,10 +50,15 @@ def build_pairs(members: int, length: int, jitter: float, seed: int):
         feats[f"ext{i:02d}"] = extract_features(
             extended_trace(n, f"ext{i:02d}", jitter=jitter, seed=seed + 1000 + i)
         )
-    return [
-        ScoredPair(a, b, score(feats[a], feats[b]), a[:3] == b[:3])
-        for a, b in itertools.combinations(sorted(feats), 2)
-    ]
+    ids = sorted(feats)
+    i, j = np.array(list(itertools.combinations(range(len(ids)), 2)), dtype=np.int32).T
+    return PairScores(
+        ids=ids,
+        i=i,
+        j=j,
+        score=np.array([score(feats[ids[a]], feats[ids[b]]) for a, b in zip(i, j)]),
+        match=np.array([ids[a][:3] == ids[b][:3] for a, b in zip(i, j)]),
+    )
 
 
 def main(argv=None) -> int:
@@ -66,30 +73,30 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     pairs = build_pairs(args.members, args.length, args.jitter, args.seed)
-    intra = [p.score for p in pairs if p.is_match]
-    inter = [p.score for p in pairs if not p.is_match]
+    intra = pairs.score[pairs.match]
+    inter = pairs.score[~pairs.match]
     pol = Polarity.LOWER_IS_SIMILAR
 
-    curve = mcc_curve(pairs, pol, default_thresholds(pairs, args.bins))
-    peak_t, peak = max(curve, key=lambda tm: tm[1])
-    roc = roc_curve(pairs, pol)
+    thresholds, values, _, _ = mcc_curve(pairs, pol, default_thresholds(pairs, args.bins))
+    peak = int(np.argmax(values))
+    fpr, tpr = roc_curve(pairs, pol)
     elapsed = time.perf_counter() - t0
 
-    gap = min(inter) - max(intra)
-    print(f"pairs: {len(pairs)} ({len(intra)} intra, {len(inter)} inter)")
-    print(f"intra scores: {min(intra):.6f} .. {max(intra):.6f}")
-    print(f"inter scores: {min(inter):.6f} .. {max(inter):.6f}")
+    gap = float(inter.min() - intra.max())
+    print(f"pairs: {len(pairs)} ({intra.size} intra, {inter.size} inter)")
+    print(f"intra scores: {intra.min():.6f} .. {intra.max():.6f}")
+    print(f"inter scores: {inter.min():.6f} .. {inter.max():.6f}")
     print(f"margin: {gap:+.6f} ({'separated' if gap > 0 else 'OVERLAPPING'})")
-    print(f"peak mcc: {peak:.6f} at threshold {peak_t:.6f}")
-    print(f"auc: {auc(roc):.6f}")
+    print(f"peak mcc: {values[peak]:.6f} at threshold {thresholds[peak]:.6f}")
+    print(f"auc: {auc(fpr, tpr):.6f}")
     print(f"elapsed: {elapsed:.2f}s")
 
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(out / "pvalue.csv", "pvalue", pol, *zip(*pvalue_curve(pairs, args.bins)))
-        write_curve_csv(out / "mcc.csv", "mcc", pol, *zip(*curve), len(pairs))
-        write_curve_csv(out / "roc.csv", "roc", pol, roc.fpr, roc.tpr, 0)
+        write_curve_csv(out / "pvalue.csv", "pvalue", pol, *pvalue_curve(pairs, args.bins))
+        write_curve_csv(out / "mcc.csv", "mcc", pol, thresholds, values, len(pairs))
+        write_curve_csv(out / "roc.csv", "roc", pol, fpr, tpr, 0)
         print(f"curves written to {out}")
 
     return 0 if gap > 0 else 1

@@ -12,10 +12,7 @@ from .evalstats import (
     ConfusionCounts,
     PairScores,
     Polarity,
-    RocCurve,
-    ScoredPair,
     auc,
-    confusion_at_threshold,
     default_thresholds,
     mcc,
     mcc_curve,
@@ -28,7 +25,6 @@ from .evalstats import (
 )
 from .featuredb import (
     FeatureStore,
-    export_csv,
     ingest_dir,
     load_store,
     save_store,
@@ -51,7 +47,7 @@ from .imageops import (
     haar_downsample,
     normalize_size,
 )
-from .scoring import ScoreResult, score, search
+from .scoring import score, search
 from .structure_io import (
     CaTrace,
     ScopLabel,
@@ -74,17 +70,12 @@ __all__ = [
     "PairScores",
     "Polarity",
     "QuantizedOrientations",
-    "RocCurve",
     "ScopLabel",
-    "ScoreResult",
-    "ScoredPair",
     "TooManyResiduesError",
     "auc",
     "comograd",
-    "confusion_at_threshold",
     "default_thresholds",
     "distance_matrix",
-    "export_csv",
     "extract_features",
     "gradient_field",
     "haar_downsample",

@@ -132,9 +132,9 @@ def cmd_search(args) -> int:
     # the query is extracted with the geometry the store was built with
     _check_store_geometry(args.config, features, store, args.store)
     _echo_config(store.config, eval_bins)
-    hits = search(store, featuredb.extract_file(args.query, store.config), args.k)
-    for rank, hit in enumerate(hits, start=1):
-        print(f"{rank},{hit.target_id},{hit.distance:.17g}")
+    ids, dists = search(store, featuredb.extract_file(args.query, store.config), args.k)
+    for rank, (tid, dist) in enumerate(zip(ids, dists.tolist()), start=1):
+        print(f"{rank},{tid},{dist:.17g}")
     return 0
 
 
@@ -155,9 +155,9 @@ def cmd_evaluate(args) -> int:
     # a store's vectors were built with the geometry it records
     if store is not None:
         _check_store_geometry(args.config, features, store, args.input)
-    _echo_config(features if store is None else store.config, eval_bins)
     if args.eval_bins is not None:
         eval_bins = args.eval_bins
+    _echo_config(features if store is None else store.config, eval_bins)
     labels = read_label_table(Path(args.labels).read_text())
 
     if store is not None:
@@ -186,14 +186,21 @@ def cmd_evaluate(args) -> int:
 
 def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out_dir: Path) -> int:
     n_match = np.count_nonzero(pairs.match)
-    pv = evalstats.pvalue_curve(pairs, eval_bins)
-    evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, *zip(*pv))
+    centers, prob, count = evalstats.pvalue_curve(pairs, eval_bins)
+    evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, centers, prob, count)
 
-    thresholds = evalstats.default_thresholds(pairs, eval_bins)
-    curve = evalstats.mcc_curve(pairs, polarity, thresholds)
-    evalstats.write_curve_csv(out_dir / "mcc.csv", "mcc", polarity, *zip(*curve), len(pairs))
-    peak_threshold, peak_mcc = max(curve, key=lambda tm: tm[1])
-    conf = evalstats.confusion_at_threshold(pairs, peak_threshold, polarity)
+    grid = evalstats.default_thresholds(pairs, eval_bins)
+    thresholds, values, tp, fp = evalstats.mcc_curve(pairs, polarity, grid)
+    evalstats.write_curve_csv(out_dir / "mcc.csv", "mcc", polarity, thresholds, values, len(pairs))
+    # the first threshold of the highest MCC, and the table it was computed from
+    peak = int(np.argmax(values))
+    peak_threshold, peak_mcc = float(thresholds[peak]), float(values[peak])
+    conf = evalstats.ConfusionCounts(
+        tp=int(tp[peak]),
+        tn=len(pairs) - n_match - int(fp[peak]),
+        fp=int(fp[peak]),
+        fn=n_match - int(tp[peak]),
+    )
     try:
         sens, spec = evalstats.sensitivity_specificity(conf)
         sens_s, spec_s = f"{sens:.6f}", f"{spec:.6f}"
@@ -202,9 +209,9 @@ def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out
 
     single_class = False
     try:
-        roc = evalstats.roc_curve(pairs, polarity)
-        area = evalstats.auc(roc)
-        evalstats.write_curve_csv(out_dir / "roc.csv", "roc", polarity, roc.fpr, roc.tpr, 0)
+        fpr, tpr = evalstats.roc_curve(pairs, polarity)
+        area = evalstats.auc(fpr, tpr)
+        evalstats.write_curve_csv(out_dir / "roc.csv", "roc", polarity, fpr, tpr, 0)
         auc_s = f"{area:.6f}"
     except evalstats.SingleClassError as exc:
         single_class = True

@@ -6,19 +6,19 @@ score bins, Matthews correlation sweeps over thresholds, ROC staircases and
 trapezoid AUC.  Works both on descriptor stores (scoring all structure
 pairs) and on externally computed score files.
 
-Scored pairs are held as one :class:`PairScores` record of columns (an id
-table, int32 pair indices, float64 scores and bool matches; 17 bytes per
-pair), which reads as a sequence of :class:`ScoredPair` rows.  The curve
-functions accept it or any hand-built list of :class:`ScoredPair`.  The
-ROC staircase is likewise a :class:`RocCurve` of two float64 columns, and
-:func:`write_curve_csv` takes its rows as columns.
+Every result is columns.  Scored pairs are one :class:`PairScores` record
+(an id table, int32 pair indices, float64 scores and bool matches; 17
+bytes per pair), which every curve function takes.  The curves come back
+as tuples of arrays: :func:`pvalue_curve` gives bin centers, probability
+and count, :func:`mcc_curve` thresholds, MCC and the tp/fp tallies behind
+each point, and :func:`roc_curve` the fpr and tpr columns that
+:func:`auc` and :func:`write_curve_csv` take.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -70,24 +70,13 @@ class Polarity(Enum):
     HIGHER_IS_SIMILAR = "higher"
 
 
-@dataclass(frozen=True)
-class ScoredPair:
-    """One structure pair: its score and whether the labels agree."""
-
-    id_a: str
-    id_b: str
-    score: float
-    is_match: bool
-
-
 @dataclass(frozen=True, eq=False)
-class PairScores(Sequence):
+class PairScores:
     """Scored pairs as columns: pair k is ``ids[i[k]]``, ``ids[j[k]]``,
     ``score[k]`` and ``match[k]``.
 
     ``i`` and ``j`` are int32 indices into ``ids``, ``score`` is float64 and
-    ``match`` is bool.  Reads as a sequence of :class:`ScoredPair` rows; two
-    records are equal when they hold the same rows in the same order.
+    ``match`` is bool.
     """
 
     ids: list[str]
@@ -98,61 +87,6 @@ class PairScores(Sequence):
 
     def __len__(self) -> int:
         return len(self.score)
-
-    def __getitem__(self, k: int) -> ScoredPair:
-        return ScoredPair(
-            id_a=self.ids[self.i[k]],
-            id_b=self.ids[self.j[k]],
-            score=float(self.score[k]),
-            is_match=bool(self.match[k]),
-        )
-
-    def __iter__(self):
-        ids = self.ids
-        for a, b, s, m in zip(
-            self.i.tolist(), self.j.tolist(), self.score.tolist(), self.match.tolist()
-        ):
-            yield ScoredPair(id_a=ids[a], id_b=ids[b], score=s, is_match=m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairScores):
-            return NotImplemented
-        mine = np.array(self.ids, dtype=object)
-        theirs = np.array(other.ids, dtype=object)
-        return (
-            len(self) == len(other)
-            and np.array_equal(self.score, other.score)
-            and np.array_equal(self.match, other.match)
-            and np.array_equal(mine[self.i], theirs[other.i])
-            and np.array_equal(mine[self.j], theirs[other.j])
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class RocCurve(Sequence):
-    """ROC staircase as columns: point k is ``(fpr[k], tpr[k])``.
-
-    ``fpr`` and ``tpr`` are float64 and include the (0, 0) and (1, 1)
-    ends.  Reads as a sequence of ``(fpr, tpr)`` tuples of Python floats
-    and compares equal to any sequence holding the same pairs in order.
-    """
-
-    fpr: np.ndarray
-    tpr: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.fpr)
-
-    def __getitem__(self, k: int) -> tuple[float, float]:
-        return float(self.fpr[k]), float(self.tpr[k])
-
-    def __iter__(self):
-        return zip(self.fpr.tolist(), self.tpr.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == [tuple(p) for p in other]
 
 
 @dataclass(frozen=True)
@@ -165,34 +99,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-
-def _as_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(pairs, PairScores):
-        return pairs.score, pairs.match
-    scores = np.fromiter((p.score for p in pairs), dtype=np.float64, count=len(pairs))
-    match = np.fromiter((p.is_match for p in pairs), dtype=bool, count=len(pairs))
-    return scores, match
-
-
-def confusion_at_threshold(pairs, threshold: float, polarity: Polarity) -> ConfusionCounts:
-    """Tally the 2x2 table at one decision threshold.
-
-    With LOWER_IS_SIMILAR a pair is predicted a match iff score <= threshold;
-    with HIGHER_IS_SIMILAR iff score >= threshold.
-    """
-    if not pairs:
-        raise ValueError("no pairs to tally")
-    scores, match = _as_arrays(pairs)
-    if polarity is Polarity.LOWER_IS_SIMILAR:
-        pred = scores <= threshold
-    else:
-        pred = scores >= threshold
-    tp = int(np.count_nonzero(pred & match))
-    fp = int(np.count_nonzero(pred & ~match))
-    fn = int(np.count_nonzero(~pred & match))
-    tn = len(pairs) - tp - fp - fn
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def mcc(c: ConfusionCounts) -> float:
@@ -211,89 +117,96 @@ def mcc(c: ConfusionCounts) -> float:
     return num / math.sqrt(float(d1) * d2 * d3 * d4)
 
 
-def mcc_curve(pairs, polarity: Polarity, thresholds) -> list[tuple[float, float]]:
+def mcc_curve(
+    pairs: PairScores, polarity: Polarity, thresholds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MCC swept over thresholds, via one sort and cumulative tallies.
 
-    Each (threshold, mcc) point agrees exactly with
-    ``mcc(confusion_at_threshold(...))``; the sweep just avoids re-scanning
-    all pairs per threshold.
+    Returns four columns: the thresholds (float64), the MCC at each, and
+    the true- and false-positive counts (int64) it was computed from.  With
+    n pairs of which m match, the table at threshold k is ``tp[k]``,
+    ``fp[k]``, ``fn = m - tp[k]`` and ``tn = n - m - fp[k]``: a pair is
+    predicted a match iff its score is <= the threshold (LOWER_IS_SIMILAR)
+    or >= it (HIGHER_IS_SIMILAR).
     """
-    if not pairs:
+    if not len(pairs):
         raise ValueError("no pairs to sweep")
-    scores, match = _as_arrays(pairs)
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    cum_m = np.cumsum(match[order])
-    n = len(pairs)
-    m_total = int(cum_m[-1])
-    out: list[tuple[float, float]] = []
-    for t in np.asarray(thresholds, dtype=np.float64):
-        if polarity is Polarity.LOWER_IS_SIMILAR:
-            npos = int(np.searchsorted(s, t, side="right"))
-            tp = int(cum_m[npos - 1]) if npos else 0
-        else:
-            lo = int(np.searchsorted(s, t, side="left"))
-            npos = n - lo
-            tp = m_total - (int(cum_m[lo - 1]) if lo else 0)
-        fp = npos - tp
-        fn = m_total - tp
-        tn = n - m_total - fp
-        out.append((float(t), mcc(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))))
-    return out
+    t = np.asarray(thresholds, dtype=np.float64)
+    order = np.argsort(pairs.score, kind="stable")
+    s = pairs.score[order]
+    # cum_m[k]: matches among the k lowest scores
+    cum_m = np.concatenate(([0], np.cumsum(pairs.match[order], dtype=np.int64)))
+    n, m_total = len(s), int(cum_m[-1])
+    if polarity is Polarity.LOWER_IS_SIMILAR:
+        npos = np.searchsorted(s, t, side="right")
+        tp = cum_m[npos]
+    else:
+        lo = np.searchsorted(s, t, side="left")
+        npos = n - lo
+        tp = m_total - cum_m[lo]
+    fp = npos - tp
+    values = [
+        mcc(ConfusionCounts(tp=a, tn=n - m_total - b, fp=b, fn=m_total - a))
+        for a, b in zip(tp.tolist(), fp.tolist())
+    ]
+    return t, np.array(values, dtype=np.float64), tp, fp
 
 
-def pvalue_curve(pairs, num_bins: int) -> list[tuple[float, float, int]]:
+def _bin_grid(scores: np.ndarray, num_bins: int) -> tuple[float, float, np.ndarray]:
+    """``(lo, width, centers)`` of ``num_bins`` equal-width bins spanning ``scores``.
+
+    Raises :class:`DegenerateRangeError` when all scores are equal, and
+    ValueError naming the range when the bin width is not a positive finite
+    float (finite scores can span more than the largest float).
+    """
+    if not len(scores):
+        raise ValueError("no pairs to bin")
+    lo = float(scores.min())
+    hi = float(scores.max())
+    if lo == hi:
+        raise DegenerateRangeError("all scores are equal; bins are undefined")
+    width = (hi - lo) / num_bins
+    if not 0.0 < width < math.inf:
+        raise ValueError(
+            f"score range [{lo!r}, {hi!r}] cannot be split into {num_bins} equal-width bins"
+        )
+    return lo, width, lo + (np.arange(num_bins) + 0.5) * width
+
+
+def pvalue_curve(pairs: PairScores, num_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical per-bin match probability over equal-width score bins.
 
-    Returns (bin_center, probability, pair_count) per bin.  The probability
-    is the raw fraction of match pairs among the pairs landing in the bin;
-    empty bins carry count 0 and NaN and are never interpolated.  Binning
-    does not depend on the score polarity.
+    Returns three columns: the bin centers and the probability (float64),
+    and the pair count (int64).  The probability is the raw fraction of
+    match pairs among the pairs landing in the bin; empty bins carry count
+    0 and NaN and are never interpolated.  Binning does not depend on the
+    score polarity.
     """
     if num_bins < 2:
         raise ValueError(f"need at least 2 bins, got {num_bins}")
-    if not pairs:
-        raise ValueError("no pairs to bin")
-    scores, match = _as_arrays(pairs)
-    lo = float(scores.min())
-    hi = float(scores.max())
-    if lo == hi:
-        raise DegenerateRangeError("all scores are equal; bins are undefined")
-    width = (hi - lo) / num_bins
-    idx = np.minimum(((scores - lo) / width).astype(np.int64), num_bins - 1)
+    lo, width, centers = _bin_grid(pairs.score, num_bins)
+    idx = np.minimum(((pairs.score - lo) / width).astype(np.int64), num_bins - 1)
     total = np.bincount(idx, minlength=num_bins)
-    matched = np.bincount(idx[match], minlength=num_bins)
-    out: list[tuple[float, float, int]] = []
-    for i in range(num_bins):
-        center = lo + (i + 0.5) * width
-        if total[i]:
-            out.append((center, matched[i] / total[i], int(total[i])))
-        else:
-            out.append((center, float("nan"), 0))
-    return out
+    matched = np.bincount(idx[pairs.match], minlength=num_bins)
+    prob = np.divide(matched, total, out=np.full(num_bins, np.nan), where=total > 0)
+    return centers, prob, total
 
 
-def default_thresholds(pairs, num_bins: int = DEFAULT_EVAL_BINS) -> list[float]:
+def default_thresholds(pairs: PairScores, num_bins: int = DEFAULT_EVAL_BINS) -> np.ndarray:
     """Centers of the equal-width score bins (same grid as the match-probability curve)."""
-    scores, _ = _as_arrays(pairs)
-    lo = float(scores.min())
-    hi = float(scores.max())
-    if lo == hi:
-        raise DegenerateRangeError("all scores are equal; bins are undefined")
-    width = (hi - lo) / num_bins
-    return [lo + (i + 0.5) * width for i in range(num_bins)]
+    return _bin_grid(pairs.score, num_bins)[2]
 
 
-def roc_curve(pairs, polarity: Polarity) -> RocCurve:
-    """(fpr, tpr) staircase swept over every distinct score.
+def roc_curve(pairs: PairScores, polarity: Polarity) -> tuple[np.ndarray, np.ndarray]:
+    """(fpr, tpr) staircase swept over every distinct score, as two float64 columns.
 
     Starts at exactly (0, 0) and ends at exactly (1, 1); both coordinates
     are monotone non-decreasing.  Raises :class:`SingleClassError` when all
     pairs are matches or all are non-matches.
     """
-    if not pairs:
+    if not len(pairs):
         raise ValueError("no pairs to sweep")
-    scores, match = _as_arrays(pairs)
+    scores, match = pairs.score, pairs.match
     n_match = int(match.sum())
     n_non = len(pairs) - n_match
     if n_match == 0 or n_non == 0:
@@ -310,22 +223,17 @@ def roc_curve(pairs, polarity: Polarity) -> RocCurve:
     tp = np.cumsum(m)[ends]
     fp = ends + 1 - tp
     # counts are below 2**53, so these are the same quotients as int / int
-    return RocCurve(
-        fpr=np.concatenate(([0.0], fp / n_non)),
-        tpr=np.concatenate(([0.0], tp / n_match)),
-    )
+    return np.concatenate(([0.0], fp / n_non)), np.concatenate(([0.0], tp / n_match))
 
 
-def auc(curve) -> float:
+def auc(fpr, tpr) -> float:
     """Trapezoid area under an ROC staircase (0.5 means chance ranking).
 
-    Takes a :class:`RocCurve` or any sequence of (fpr, tpr) pairs.  The
-    terms are added left to right, as a loop over the points would.
+    Takes the curve's ``fpr`` and ``tpr`` columns.  The terms are added
+    left to right, as a loop over the points would.
     """
-    if isinstance(curve, RocCurve):
-        x, y = curve.fpr, curve.tpr
-    else:
-        x, y = np.array(curve, dtype=np.float64).reshape(-1, 2).T
+    x = np.asarray(fpr, dtype=np.float64)
+    y = np.asarray(tpr, dtype=np.float64)
     if len(x) < 2:
         return 0.0
     terms = (x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0
@@ -384,16 +292,16 @@ def pairs_from_indices(ks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, i + 1 + (ks - row_start[i])
 
 
-def sample_pair_indices(total: int, count: int, seed: int) -> list[int]:
-    """Deterministic uniform sample without replacement (Floyd), sorted."""
+def sample_pair_indices(total: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic uniform sample without replacement (Floyd), sorted, as int64."""
     if count >= total:
-        return list(range(total))
+        return np.arange(total, dtype=np.int64)
     rng = random.Random(seed)
     chosen: set[int] = set()
     for j in range(total - count, total):
         t = rng.randrange(j + 1)
         chosen.add(t if t not in chosen else j)
-    return sorted(chosen)
+    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def _distances(mat: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -468,7 +376,7 @@ def score_pairs(
     n = len(ids)
     total = pair_count(n)
     if sample is not None and sample < total:
-        ks = np.array(sample_pair_indices(total, sample, seed), dtype=np.int64)
+        ks = sample_pair_indices(total, sample, seed)
     else:
         ks = np.arange(total, dtype=np.int64)
     i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
@@ -493,8 +401,9 @@ def read_score_file(
     """Parse ``id_a,id_b,score`` rows (optional header, # comments) into pairs.
 
     Every id must appear in the label table; otherwise
-    :class:`MissingLabelError` is raised.  A score that is not finite (nan,
-    inf) raises :class:`ValueError` naming the row.
+    :class:`MissingLabelError` is raised.  A data row whose score is not a
+    number, or not finite (nan, inf), raises :class:`ValueError` naming the
+    row; only the first row may be a header.
     """
     key = _level_key(level)
     index: dict[str, int] = {}
@@ -515,7 +424,7 @@ def read_score_file(
             if first:
                 first = False
                 continue
-            raise
+            raise ValueError(f"score row has a score that is not a number: {raw!r}") from None
         first = False
         if not math.isfinite(s):
             raise ValueError(f"score row has a non-finite score: {raw!r}")

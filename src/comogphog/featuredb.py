@@ -554,13 +554,6 @@ def load_store(path) -> FeatureStore:
     raise UnsupportedVersionError(f"{path}: unsupported store version {version}")
 
 
-def export_csv(store: FeatureStore, path) -> None:
-    """Write ``id,v0,...,v1023`` rows at full round-trip precision (export only)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for e in store.entries:
-            fh.write(e.id + "," + ",".join(format(v, ".17g") for v in e.values) + "\n")
-
-
 def extract_file(path, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
     """Parse one structure file and return its descriptor, with the file stem as id."""
     path = Path(path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,6 @@ _FIRST_BATCH = 64
 
 class LengthMismatchError(ValueError):
     """Scored vectors must have equal length."""
-
-
-@dataclass(frozen=True)
-class ScoreResult:
-    """One ranked hit from a database search."""
-
-    query_id: str
-    target_id: str
-    distance: float
 
 
 def _values(f) -> np.ndarray:
@@ -119,12 +109,13 @@ def _stop_margin(index, q: np.ndarray) -> tuple[float, float]:
     return 2.0 * (index.departure + eta), 2.0 * eta * spread + tiny
 
 
-def search(db, query, k: int) -> list[ScoreResult]:
+def search(db, query, k: int) -> tuple[list[str], np.ndarray]:
     """Rank a database against a query, ascending by score.
 
     ``db`` is a :class:`FeatureStore` or a list of :class:`FeatureVector`.
     Ties are broken by target id (lexicographic).  Returns the first
-    min(k, len(db)) hits, with distances equal to :func:`score`.
+    min(k, len(db)) hits as two columns: the target ids and a float64
+    column of their distances, each equal to :func:`score`.
 
     Rows are scored in growing batches, in increasing order of the lower
     bound that the store's :class:`~comogphog.featuredb.ProjectionIndex`
@@ -180,9 +171,5 @@ def search(db, query, k: int) -> list[ScoreResult]:
     if k < len(dist):
         cand = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
         dist, rows = dist[cand], rows[cand]
-    ranked = sorted(zip(dist.tolist(), [ids[c] for c in rows.tolist()]))
-    qid = getattr(query, "id", "")
-    return [
-        ScoreResult(query_id=qid, target_id=tid, distance=d)
-        for d, tid in ranked[:k]
-    ]
+    ranked = sorted(zip(dist.tolist(), [ids[c] for c in rows.tolist()]))[:k]
+    return [tid for _, tid in ranked], np.array([d for d, _ in ranked], dtype=np.float64)

@@ -6,6 +6,7 @@ program computes another way.
 
 import numpy as np
 
+from comogphog.evalstats import ConfusionCounts, PairScores, Polarity
 from comogphog.imageops import _resample_weights
 
 
@@ -59,3 +60,84 @@ def superfamily_match(a, b):
         and a.fold == b.fold
         and a.superfamily == b.superfamily
     )
+
+
+def pairs_from_rows(rows):
+    """A PairScores of ``(id_a, id_b, score, is_match)`` rows, in row order.
+
+    The id table lists each id once, in order of first appearance.
+    """
+    index = {}
+    i, j, score, match = [], [], [], []
+    for a, b, s, m in rows:
+        i.append(index.setdefault(a, len(index)))
+        j.append(index.setdefault(b, len(index)))
+        score.append(s)
+        match.append(m)
+    return PairScores(
+        ids=list(index),
+        i=np.array(i, dtype=np.int32),
+        j=np.array(j, dtype=np.int32),
+        score=np.array(score, dtype=np.float64),
+        match=np.array(match, dtype=bool),
+    )
+
+
+def pairs_from(scores, matches):
+    """A PairScores of pairs ``(a<k>, b<k>)`` with the given scores and matches."""
+    n = len(scores)
+    return PairScores(
+        ids=[f"a{k}" for k in range(n)] + [f"b{k}" for k in range(n)],
+        i=np.arange(n, dtype=np.int32),
+        j=np.arange(n, 2 * n, dtype=np.int32),
+        score=np.array(scores, dtype=np.float64),
+        match=np.array(matches, dtype=bool),
+    )
+
+
+def pair_rows(pairs):
+    """The ``(id_a, id_b, score, is_match)`` rows of a PairScores, as Python values."""
+    ids = pairs.ids
+    return [
+        (ids[a], ids[b], s, m)
+        for a, b, s, m in zip(
+            pairs.i.tolist(), pairs.j.tolist(), pairs.score.tolist(), pairs.match.tolist()
+        )
+    ]
+
+
+def assert_same_pairs(got, expected):
+    """Both hold the same id pairs and matches in the same order, with the same score bits.
+
+    Either side is a PairScores or a list of ``(id_a, id_b, score, is_match)``
+    rows; the id tables may differ.
+    """
+    got, expected = (p if isinstance(p, list) else pair_rows(p) for p in (got, expected))
+    assert len(got) == len(expected)
+    assert [r[:2] for r in got] == [r[:2] for r in expected]
+    assert [r[3] for r in got] == [r[3] for r in expected]
+    assert (
+        np.array([r[2] for r in got]).tobytes()
+        == np.array([r[2] for r in expected]).tobytes()
+    )
+
+
+def confusion_at_threshold(pairs, threshold, polarity):
+    """Tally the 2x2 table of a PairScores at one decision threshold.
+
+    With LOWER_IS_SIMILAR a pair is predicted a match iff score <= threshold;
+    with HIGHER_IS_SIMILAR iff score >= threshold.  The MCC oracle: the
+    program tallies every threshold at once in ``mcc_curve``.
+    """
+    if not len(pairs):
+        raise ValueError("no pairs to tally")
+    if polarity is Polarity.LOWER_IS_SIMILAR:
+        pred = pairs.score <= threshold
+    else:
+        pred = pairs.score >= threshold
+    match = pairs.match
+    tp = int(np.count_nonzero(pred & match))
+    fp = int(np.count_nonzero(pred & ~match))
+    fn = int(np.count_nonzero(~pred & match))
+    tn = len(pairs) - tp - fp - fn
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)

@@ -24,7 +24,6 @@ from comogphog.distmat import distance_matrix, to_gray
 from comogphog.evalstats import (
     ConfusionCounts,
     Polarity,
-    ScoredPair,
     auc,
     default_thresholds,
     mcc,
@@ -60,6 +59,7 @@ from comogphog.synthetic import (
     random_walk_trace,
     transform,
 )
+from oracles import pairs_from, pairs_from_rows
 
 TOL_BLOCK_SUM = 1e-9
 TOL_DISTMAT = 1e-9
@@ -322,9 +322,9 @@ def test_acceptance_4_metric_and_search():
             else:
                 query = FeatureVector("q", rng.normal(size=FEATURE_LENGTH))
             k = int(rng.integers(1, 51))
-            hits = search(db, query, k)
+            ids, dists = search(db, query, k)
             full = sorted((score(e, query), e.id) for e in db)
-            assert [(h.distance, h.target_id) for h in hits] == full[:k]
+            assert list(zip(dists.tolist(), ids)) == full[:k]
 
 
 # --- 5: evaluation-statistics oracles ---
@@ -339,8 +339,8 @@ def _mcc_exact(tp: int, tn: int, fp: int, fn: int) -> float:
 
 
 def _mann_whitney(pairs, polarity) -> float:
-    ms = [p.score for p in pairs if p.is_match]
-    ns = [p.score for p in pairs if not p.is_match]
+    ms = pairs.score[pairs.match].tolist()
+    ns = pairs.score[~pairs.match].tolist()
     wins = 0.0
     for m in ms:
         for n in ns:
@@ -352,10 +352,7 @@ def _mann_whitney(pairs, polarity) -> float:
 
 
 def _random_pairs(rng, n, match_rate=0.4):
-    return [
-        ScoredPair(f"a{i}", f"b{i}", float(s), bool(m))
-        for i, (s, m) in enumerate(zip(rng.random(n), rng.random(n) < match_rate))
-    ]
+    return pairs_from(rng.random(n), rng.random(n) < match_rate)
 
 
 def test_acceptance_5_evaluation_oracles():
@@ -372,34 +369,32 @@ def test_acceptance_5_evaluation_oracles():
         # trapezoid AUC against the rank statistic, ties included
         for trial in range(10):
             pairs = _random_pairs(rng, 30)
-            pairs[4] = ScoredPair("t", "t2", pairs[0].score, not pairs[0].is_match)
+            pairs.score[4] = pairs.score[0]
+            pairs.match[4] = not pairs.match[0]
             for pol in (LOWER, HIGHER):
-                got = auc(roc_curve(pairs, pol))
+                got = auc(*roc_curve(pairs, pol))
                 assert abs(got - _mann_whitney(pairs, pol)) <= TOL_EVAL
 
         # per-bin posteriors, weighted by bin counts, recover the global rate
         for trial in range(5):
             pairs = _random_pairs(rng, 400)
-            curve = pvalue_curve(pairs, 50)
-            recovered = sum(round(p * c) for _, p, c in curve if c)
-            assert recovered == sum(p.is_match for p in pairs)
-            weighted = sum(p * c for _, p, c in curve if c) / len(pairs)
-            global_rate = sum(p.is_match for p in pairs) / len(pairs)
+            _, prob, count = pvalue_curve(pairs, 50)
+            bins = [(p, c) for p, c in zip(prob.tolist(), count.tolist()) if c]
+            recovered = sum(round(p * c) for p, c in bins)
+            assert recovered == sum(pairs.match.tolist())
+            weighted = sum(p * c for p, c in bins) / len(pairs)
+            global_rate = sum(pairs.match.tolist()) / len(pairs)
             assert abs(weighted - global_rate) <= TOL_EVAL
 
         # ROC endpoints are exact, for plain and tie-heavy score sets
         for trial in range(10):
             pairs = _random_pairs(rng, 40)
             if trial % 2:
-                quantized = np.round([p.score for p in pairs], 1)
-                pairs = [
-                    ScoredPair(p.id_a, p.id_b, float(s), p.is_match)
-                    for p, s in zip(pairs, quantized)
-                ]
+                pairs.score[:] = np.round(pairs.score, 1)
             for pol in (LOWER, HIGHER):
-                curve = roc_curve(pairs, pol)
-                assert curve[0] == (0.0, 0.0)
-                assert curve[-1] == (1.0, 1.0)
+                fpr, tpr = roc_curve(pairs, pol)
+                assert (fpr[0], tpr[0]) == (0.0, 0.0)
+                assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
 
 
 # --- 6: synthetic two-family separation ---
@@ -417,19 +412,19 @@ def test_acceptance_6_synthetic_separation():
             feats[f"ext{i}"] = extract_features(
                 extended_trace(n, f"ext{i}", jitter=0.10, seed=400 + i)
             )
-        pairs = [
-            ScoredPair(a, b, score(feats[a], feats[b]), a[:3] == b[:3])
+        pairs = pairs_from_rows(
+            (a, b, score(feats[a], feats[b]), a[:3] == b[:3])
             for a, b in itertools.combinations(sorted(feats), 2)
-        ]
+        )
         assert len(pairs) == 190
 
-        intra = [p.score for p in pairs if p.is_match]
-        inter = [p.score for p in pairs if not p.is_match]
-        assert max(intra) < min(inter)  # every within-family pair scores closer
+        intra = pairs.score[pairs.match]
+        inter = pairs.score[~pairs.match]
+        assert intra.max() < inter.min()  # every within-family pair scores closer
 
-        curve = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
-        assert max(v for _, v in curve) == 1.0
-        assert auc(roc_curve(pairs, LOWER)) == 1.0
+        _, values, _, _ = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
+        assert values.max() == 1.0
+        assert auc(*roc_curve(pairs, LOWER)) == 1.0
         assert time.perf_counter() - start < BUDGET_SEPARATION_S
 
 

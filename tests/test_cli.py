@@ -31,6 +31,7 @@ from comogphog.synthetic import (
     random_walk_trace,
     transform,
 )
+from oracles import pair_rows
 
 STORE_V1 = Path(__file__).parent / "data" / "store_v1.cmg"
 STORE_V2 = Path(__file__).parent / "data" / "store_v2.cmg"
@@ -327,11 +328,11 @@ def test_search_agrees_with_library(corpus, store_path, capsys):
     _, stdout, _ = run(capsys, "search", store_path, pdb_dir / "ext0.pdb", "--k", 8)
     store = load_store(store_path)
     query = next(e for e in store.entries if e.id == "ext0")
-    expected = search(store.entries, query, 8)
+    ids, dists = search(store.entries, query, 8)
     got = [line.split(",") for line in stdout.splitlines()]
-    assert [g[1] for g in got] == [h.target_id for h in expected]
-    for g, h in zip(got, expected):
-        assert float(g[2]) == pytest.approx(h.distance, abs=1e-12)
+    assert [g[1] for g in got] == ids
+    for g, d in zip(got, dists.tolist()):
+        assert float(g[2]) == pytest.approx(d, abs=1e-12)
 
 
 def test_search_rejects_non_store(corpus, tmp_path, capsys):
@@ -496,15 +497,17 @@ def test_evaluate_matches_library_curves(corpus, store_path, tmp_path, capsys):
 
     header, rows = read_rows(out / "mcc.csv")
     assert header == "mcc:lower,value,count"
-    expected = mcc_curve(pairs, pol, default_thresholds(pairs, 200))
-    assert len(rows) == 200
-    for row, (t, m) in zip(rows, expected):
+    thresholds, values, _, _ = mcc_curve(pairs, pol, default_thresholds(pairs, 200))
+    assert len(rows) == len(thresholds) == 200
+    for row, t, m in zip(rows, thresholds.tolist(), values.tolist()):
         assert float(row[0]) == t
         assert float(row[1]) == m
         assert row[2] == "28"
 
     _, rows = read_rows(out / "pvalue.csv")
-    for row, (center, p, count) in zip(rows, pvalue_curve(pairs, 200)):
+    centers, prob, counts = pvalue_curve(pairs, 200)
+    assert len(rows) == len(centers) == 200
+    for row, center, p, count in zip(rows, centers.tolist(), prob.tolist(), counts.tolist()):
         assert float(row[0]) == center
         assert int(row[2]) == count
         if count:
@@ -543,10 +546,11 @@ def test_evaluate_refuses_other_geometry(corpus, store_path, tmp_path, capsys):
 def test_evaluate_eval_bins_flag(corpus, store_path, tmp_path, capsys):
     _, labels = corpus
     out = tmp_path / "eval"
-    code, _, _ = run(
+    code, _, stderr = run(
         capsys, "evaluate", store_path, out, "--labels", labels, "--eval-bins", 17
     )
     assert code == 0
+    assert stderr.splitlines()[0].endswith(" eval_bins=17")  # the value in effect
     assert len(read_rows(out / "pvalue.csv")[1]) == 17
     assert len(read_rows(out / "mcc.csv")[1]) == 17
 
@@ -613,7 +617,7 @@ def test_evaluate_external_scores_higher_polarity(corpus, store_path, tmp_path, 
     score_file = tmp_path / "sims.csv"
     score_file.write_text(
         "id_a,id_b,score\n"
-        + "".join(f"{p.id_a},{p.id_b},{-p.score:.17g}\n" for p in pairs)
+        + "".join(f"{a},{b},{-s:.17g}\n" for a, b, s, _ in pair_rows(pairs))
     )
     out = tmp_path / "eval"
     code, _, _ = run(
@@ -705,6 +709,20 @@ def test_evaluate_header_only_score_file_exits_2(corpus, tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in stderr
+
+
+def test_evaluate_overflowing_score_range_exits_1(corpus, tmp_path, capsys):
+    # finite scores whose max - min is not finite: no equal-width bins
+    _, labels = corpus
+    score_file = tmp_path / "scores.csv"
+    score_file.write_text("hel0,hel1,-1e308\nhel0,ext0,1e308\nhel1,ext0,0\n")
+    out = tmp_path / "eval"
+    code, stdout, stderr = run(
+        capsys, "evaluate", score_file, out, "--labels", labels, "--polarity", "lower"
+    )
+    assert code == 1 and stdout == ""
+    assert "error: score range [-1e+308, 1e+308]" in stderr
+    assert not (out / "pvalue.csv").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

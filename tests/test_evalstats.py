@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -12,14 +13,10 @@ from comogphog.evalstats import (
     ConfusionCounts,
     DegenerateRangeError,
     MissingLabelError,
-    PairScores,
     Polarity,
-    RocCurve,
-    ScoredPair,
     SingleClassError,
     UndefinedRateError,
     auc,
-    confusion_at_threshold,
     default_thresholds,
     mcc,
     mcc_curve,
@@ -37,43 +34,52 @@ from comogphog.featuredb import FeatureStore
 from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score
 from comogphog.structure_io import parse_scop_label
-from oracles import family_match, pair_from_index, superfamily_match
+from oracles import (
+    assert_same_pairs,
+    confusion_at_threshold,
+    family_match,
+    pair_from_index,
+    pair_rows,
+    pairs_from,
+    superfamily_match,
+)
 
 LOWER = Polarity.LOWER_IS_SIMILAR
 HIGHER = Polarity.HIGHER_IS_SIMILAR
-
-
-def pairs_from(scores, matches):
-    return [
-        ScoredPair(id_a=f"a{i}", id_b=f"b{i}", score=float(s), is_match=bool(m))
-        for i, (s, m) in enumerate(zip(scores, matches))
-    ]
 
 
 def random_pairs(rng, n, match_rate=0.4):
     return pairs_from(rng.random(n), rng.random(n) < match_rate)
 
 
-# --- confusion tallies ---
+# --- confusion tallies (mcc_curve's, read at one threshold) ---
+
+
+def tally(pairs, threshold, polarity):
+    """The table mcc_curve computed its point at ``threshold`` from."""
+    _, _, tp, fp = mcc_curve(pairs, polarity, [threshold])
+    n, m = len(pairs), int(np.count_nonzero(pairs.match))
+    tp, fp = int(tp[0]), int(fp[0])
+    return ConfusionCounts(tp=tp, tn=n - m - fp, fp=fp, fn=m - tp)
 
 
 def test_confusion_saturation_low_threshold():
     pairs = pairs_from([0.2, 0.4, 0.6], [True, False, True])
-    c = confusion_at_threshold(pairs, 0.1, LOWER)
+    c = tally(pairs, 0.1, LOWER)
     assert (c.tp, c.fp) == (0, 0)
     assert (c.fn, c.tn) == (2, 1)
 
 
 def test_confusion_saturation_high_threshold():
     pairs = pairs_from([0.2, 0.4, 0.6], [True, True, True])
-    c = confusion_at_threshold(pairs, 1.0, LOWER)
+    c = tally(pairs, 1.0, LOWER)
     assert (c.tp, c.tn, c.fp, c.fn) == (3, 0, 0, 0)
 
 
 def test_confusion_threshold_is_inclusive():
     pairs = pairs_from([0.5], [True])
-    assert confusion_at_threshold(pairs, 0.5, LOWER).tp == 1
-    assert confusion_at_threshold(pairs, 0.5, HIGHER).tp == 1
+    assert tally(pairs, 0.5, LOWER).tp == 1
+    assert tally(pairs, 0.5, HIGHER).tp == 1
 
 
 def test_confusion_matches_enumeration_oracle():
@@ -83,19 +89,19 @@ def test_confusion_matches_enumeration_oracle():
     )
     t = 0.5
     for pol in (LOWER, HIGHER):
-        got = confusion_at_threshold(pairs, t, pol)
         tp = tn = fp = fn = 0
-        for p in pairs:
-            pred = p.score <= t if pol is LOWER else p.score >= t
-            if pred and p.is_match:
+        for _, _, s, is_match in pair_rows(pairs):
+            pred = s <= t if pol is LOWER else s >= t
+            if pred and is_match:
                 tp += 1
-            elif pred and not p.is_match:
+            elif pred and not is_match:
                 fp += 1
-            elif not pred and p.is_match:
+            elif not pred and is_match:
                 fn += 1
             else:
                 tn += 1
-        assert (got.tp, got.tn, got.fp, got.fn) == (tp, tn, fp, fn)
+        for got in (tally(pairs, t, pol), confusion_at_threshold(pairs, t, pol)):
+            assert (got.tp, got.tn, got.fp, got.fn) == (tp, tn, fp, fn)
 
 
 # --- mcc ---
@@ -136,23 +142,27 @@ def test_mcc_curve_matches_per_threshold_oracle():
     pairs = random_pairs(rng, 20)
     thresholds = sorted(rng.random(15))
     for pol in (LOWER, HIGHER):
-        got = mcc_curve(pairs, pol, thresholds)
-        for (t, v), t_in in zip(got, thresholds):
+        got_t, got_v, tp, fp = mcc_curve(pairs, pol, thresholds)
+        assert got_t.dtype == got_v.dtype == np.float64
+        assert len(got_t) == len(got_v) == len(tp) == len(fp) == len(thresholds)
+        for t, v, t_in, a, b in zip(got_t.tolist(), got_v.tolist(), thresholds, tp, fp):
             assert t == t_in
-            assert v == mcc(confusion_at_threshold(pairs, t, pol))
+            expected = confusion_at_threshold(pairs, t, pol)
+            assert v == mcc(expected)
+            assert (a, b) == (expected.tp, expected.fp)
 
 
 def test_mcc_curve_separable_reaches_one():
     pairs = pairs_from([0.1, 0.12, 0.15, 0.8, 0.85, 0.9], [1, 1, 1, 0, 0, 0])
-    curve = mcc_curve(pairs, LOWER, [0.5])
-    assert curve[0][1] == 1.0
+    _, values, _, _ = mcc_curve(pairs, LOWER, [0.5])
+    assert values[0] == 1.0
 
 
 def test_mcc_curve_no_signal_stays_small():
     rng = np.random.default_rng(2026)
     pairs = random_pairs(rng, 10_000, match_rate=0.3)
-    curve = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
-    assert max(abs(v) for _, v in curve) < 0.2
+    _, values, _, _ = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
+    assert max(abs(values)) < 0.2
 
 
 # --- pvalue curve ---
@@ -162,21 +172,20 @@ def test_pvalue_hand_counts():
     # range pinned to [0, 1] by the extreme scores: 5 bins of width 0.2
     scores = [0.0, 0.1, 0.15, 0.25, 0.3, 0.45, 0.5, 0.85, 0.9, 1.0]
     match = [True, True, False, True, False, True, False, False, False, False]
-    curve = pvalue_curve(pairs_from(scores, match), 5)
-    assert len(curve) == 5
-    centers = [row[0] for row in curve]
+    centers, prob, count = pvalue_curve(pairs_from(scores, match), 5)
+    assert len(centers) == len(prob) == len(count) == 5
     assert np.allclose(centers, [0.1, 0.3, 0.5, 0.7, 0.9])
-    assert [row[2] for row in curve] == [3, 2, 2, 0, 3]
-    assert curve[0][1] == pytest.approx(2 / 3)
-    assert curve[1][1] == pytest.approx(1 / 2)
-    assert curve[2][1] == pytest.approx(1 / 2)
-    assert math.isnan(curve[3][1])
-    assert curve[4][1] == 0.0
+    assert count.tolist() == [3, 2, 2, 0, 3]
+    assert prob[0] == pytest.approx(2 / 3)
+    assert prob[1] == pytest.approx(1 / 2)
+    assert prob[2] == pytest.approx(1 / 2)
+    assert math.isnan(prob[3])
+    assert prob[4] == 0.0
 
 
 def test_pvalue_all_match_bin_is_one():
-    curve = pvalue_curve(pairs_from([0.0, 0.01, 1.0], [1, 1, 0]), 2)
-    assert curve[0][1] == 1.0
+    _, prob, _ = pvalue_curve(pairs_from([0.0, 0.01, 1.0], [1, 1, 0]), 2)
+    assert prob[0] == 1.0
 
 
 def test_pvalue_degenerate_range():
@@ -187,19 +196,28 @@ def test_pvalue_degenerate_range():
 def test_pvalue_law_of_total_probability():
     rng = np.random.default_rng(8)
     pairs = random_pairs(rng, 500)
-    curve = pvalue_curve(pairs, 37)
+    _, prob, count = pvalue_curve(pairs, 37)
     # reconstruct per-bin match counts; they must sum to the global count
-    recovered = sum(round(p * c) for _, p, c in curve if c)
-    assert recovered == sum(p.is_match for p in pairs)
-    weighted = sum(p * c for _, p, c in curve if c) / len(pairs)
-    assert weighted == pytest.approx(np.mean([p.is_match for p in pairs]), abs=1e-12)
+    rows = [(p, c) for p, c in zip(prob.tolist(), count.tolist()) if c]
+    recovered = sum(round(p * c) for p, c in rows)
+    assert recovered == sum(pairs.match.tolist())
+    weighted = sum(p * c for p, c in rows) / len(pairs)
+    assert weighted == pytest.approx(np.mean(pairs.match.tolist()), abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [pvalue_curve, default_thresholds])
+def test_bin_grid_refuses_a_range_that_overflows(grid):
+    # both scores are finite, but max - min is not
+    pairs = pairs_from([-1e308, 0.0, 1e308], [1, 0, 1])
+    with pytest.raises(ValueError, match=r"score range \[-1e\+308, 1e\+308\]"):
+        grid(pairs, 10)
 
 
 def test_pvalue_extreme_scores_land_in_end_bins():
     pairs = pairs_from([0.0, 0.5, 1.0], [1, 0, 1])
-    curve = pvalue_curve(pairs, 4)
-    assert curve[0][2] == 1
-    assert curve[-1][2] == 1
+    _, _, count = pvalue_curve(pairs, 4)
+    assert count[0] == 1
+    assert count[-1] == 1
 
 
 # --- roc / auc ---
@@ -208,8 +226,8 @@ def test_pvalue_extreme_scores_land_in_end_bins():
 def mann_whitney_auc(pairs, pol):
     """Probability a random match ranks more-similar than a random non-match,
     counting ties as half; written independently of roc_curve/auc."""
-    ms = [p.score for p in pairs if p.is_match]
-    ns = [p.score for p in pairs if not p.is_match]
+    ms = pairs.score[pairs.match].tolist()
+    ns = pairs.score[~pairs.match].tolist()
     wins = 0.0
     for m in ms:
         for n in ns:
@@ -222,17 +240,17 @@ def mann_whitney_auc(pairs, pol):
 
 def test_roc_perfect_separation():
     pairs = pairs_from([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])
-    curve = roc_curve(pairs, LOWER)
-    assert curve[0] == (0.0, 0.0)
-    assert curve[-1] == (1.0, 1.0)
-    assert auc(curve) == 1.0
+    fpr, tpr = roc_curve(pairs, LOWER)
+    assert (fpr[0], tpr[0]) == (0.0, 0.0)
+    assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
+    assert auc(fpr, tpr) == 1.0
 
 
 def test_roc_identical_scores_is_diagonal():
     pairs = pairs_from([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-    curve = roc_curve(pairs, LOWER)
-    assert curve == [(0.0, 0.0), (1.0, 1.0)]
-    assert auc(curve) == 0.5
+    fpr, tpr = roc_curve(pairs, LOWER)
+    assert fpr.tolist() == tpr.tolist() == [0.0, 1.0]
+    assert auc(fpr, tpr) == 0.5
 
 
 def test_roc_single_class():
@@ -247,11 +265,11 @@ def test_roc_monotone_and_exact_endpoints():
     for trial in range(10):
         pairs = random_pairs(rng, 60)
         for pol in (LOWER, HIGHER):
-            curve = roc_curve(pairs, pol)
-            assert curve[0] == (0.0, 0.0)
-            assert curve[-1] == (1.0, 1.0)
-            xs = [p[0] for p in curve]
-            ys = [p[1] for p in curve]
+            fpr, tpr = roc_curve(pairs, pol)
+            assert (fpr[0], tpr[0]) == (0.0, 0.0)
+            assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
+            xs = fpr.tolist()
+            ys = tpr.tolist()
             assert all(a <= b for a, b in zip(xs, xs[1:]))
             assert all(a <= b for a, b in zip(ys, ys[1:]))
 
@@ -261,23 +279,24 @@ def test_auc_matches_mann_whitney():
     for trial in range(10):
         pairs = random_pairs(rng, 30)
         # duplicate a score to exercise tie handling
-        pairs[3] = ScoredPair("x", "y", pairs[0].score, not pairs[0].is_match)
+        pairs.score[3] = pairs.score[0]
+        pairs.match[3] = not pairs.match[0]
         for pol in (LOWER, HIGHER):
-            got = auc(roc_curve(pairs, pol))
+            got = auc(*roc_curve(pairs, pol))
             assert got == pytest.approx(mann_whitney_auc(pairs, pol), abs=1e-12)
 
 
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(7)
     pairs = random_pairs(rng, 80)
-    warped = [
-        ScoredPair(p.id_a, p.id_b, math.exp(3.0 * p.score), p.is_match) for p in pairs
-    ]
-    assert auc(roc_curve(warped, LOWER)) == auc(roc_curve(pairs, LOWER))
+    warped = dataclasses.replace(
+        pairs, score=np.array([math.exp(3.0 * s) for s in pairs.score.tolist()])
+    )
+    assert auc(*roc_curve(warped, LOWER)) == auc(*roc_curve(pairs, LOWER))
 
 
 def test_auc_trapezoid_hand_case():
-    assert auc([(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]) == 0.75
+    assert auc([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]) == 0.75
 
 
 # --- rates ---
@@ -315,12 +334,14 @@ def test_sampling_is_deterministic_and_valid():
     a = sample_pair_indices(1000, 50, seed=123)
     b = sample_pair_indices(1000, 50, seed=123)
     c = sample_pair_indices(1000, 50, seed=124)
-    assert a == b
-    assert len(a) == 50 == len(set(a))
+    assert a.dtype == c.dtype == np.int64
+    assert np.array_equal(a, b)
+    assert len(a) == 50 == len(set(a.tolist()))
     assert all(0 <= k < 1000 for k in a)
-    assert a == sorted(a)
-    assert a != c
-    assert sample_pair_indices(10, 99, seed=0) == list(range(10))
+    assert a.tolist() == sorted(a.tolist())
+    assert not np.array_equal(a, c)
+    full = sample_pair_indices(10, 99, seed=0)
+    assert full.dtype == np.int64 and full.tolist() == list(range(10))
 
 
 @pytest.fixture
@@ -339,27 +360,28 @@ def test_score_pairs_all_pairs(labeled_store):
     store, labels = labeled_store
     pairs = score_pairs(store, labels)
     assert len(pairs) == pair_count(5)
-    by_key = {(p.id_a, p.id_b): p for p in pairs}
+    by_key = {(a, b): (s, m) for a, b, s, m in pair_rows(pairs)}
     assert set(by_key) == set(itertools.combinations(sorted(store.ids()), 2))
     vecs = {e.id: e for e in store.entries}
-    for (a, b), p in by_key.items():
-        assert p.score == pytest.approx(score(vecs[a], vecs[b]), rel=1e-12)
-    assert by_key[("d1", "d2")].is_match
-    assert by_key[("d1", "d5")].is_match
-    assert not by_key[("d1", "d3")].is_match
-    assert not by_key[("d3", "d4")].is_match
+    for (a, b), (s, _) in by_key.items():
+        assert s == pytest.approx(score(vecs[a], vecs[b]), rel=1e-12)
+    assert by_key[("d1", "d2")][1]
+    assert by_key[("d1", "d5")][1]
+    assert not by_key[("d1", "d3")][1]
+    assert not by_key[("d3", "d4")][1]
 
 
 def test_score_pairs_superfamily_level(labeled_store):
     store, labels = labeled_store
-    by_key = {(p.id_a, p.id_b): p for p in score_pairs(store, labels, level="superfamily")}
-    assert by_key[("d1", "d3")].is_match  # same superfamily, different family
-    assert not by_key[("d1", "d4")].is_match
+    pairs = score_pairs(store, labels, level="superfamily")
+    by_key = {(a, b): m for a, b, _, m in pair_rows(pairs)}
+    assert by_key[("d1", "d3")]  # same superfamily, different family
+    assert not by_key[("d1", "d4")]
 
 
 def test_score_pairs_jobs_identical(labeled_store):
     store, labels = labeled_store
-    assert score_pairs(store, labels) == score_pairs(store, labels, jobs=2)
+    assert_same_pairs(score_pairs(store, labels), score_pairs(store, labels, jobs=2))
 
 
 def test_score_pairs_jobs_identical_across_chunks(monkeypatch):
@@ -379,7 +401,7 @@ def test_score_pairs_jobs_identical_across_chunks(monkeypatch):
     serial = score_pairs(store, labels)
     parallel = score_pairs(store, labels, jobs=2)
     assert len(serial) == pair_count(n)
-    assert serial == parallel
+    assert_same_pairs(serial, parallel)
 
 
 class CountingPool(evalstats.ProcessPoolExecutor):
@@ -416,17 +438,17 @@ def test_score_pairs_pool_threshold_keeps_bytes(threshold_store, monkeypatch, of
     assert CountingPool.started == pooled
     assert len(serial) == len(parallel) == sample
     assert parallel.score.tobytes() == serial.score.tobytes()
-    assert parallel == serial
+    assert_same_pairs(parallel, serial)
 
 
 def test_score_pairs_sampling(labeled_store):
     store, labels = labeled_store
     sampled = score_pairs(store, labels, sample=4, seed=9)
     assert len(sampled) == 4
-    assert sampled == score_pairs(store, labels, sample=4, seed=9)
-    full = {(p.id_a, p.id_b): p for p in score_pairs(store, labels)}
-    for p in sampled:
-        assert full[(p.id_a, p.id_b)] == p
+    assert_same_pairs(sampled, score_pairs(store, labels, sample=4, seed=9))
+    full = {row[:2]: row for row in pair_rows(score_pairs(store, labels))}
+    for row in pair_rows(sampled):
+        assert full[row[:2]] == row
 
 
 def test_score_pairs_missing_label(labeled_store):
@@ -452,7 +474,7 @@ def test_read_score_file(labeled_store):
         ]
     )
     pairs = read_score_file(text, labels)
-    assert [(p.id_a, p.id_b, p.score, p.is_match) for p in pairs] == [
+    assert pair_rows(pairs) == [
         ("d1", "d2", 0.25, True),
         ("d1", "d3", 3.5, False),
         ("d4", "d5", -1.0, False),
@@ -469,8 +491,11 @@ def test_read_score_file_bad_rows(labeled_store):
     _, labels = labeled_store
     with pytest.raises(ValueError):
         read_score_file("d1,d2\n", labels)
-    with pytest.raises(ValueError):
+    # only the first row may be a header; a later bad score names its row
+    with pytest.raises(ValueError, match="'d1,d3,oops'"):
         read_score_file("d1,d2,0.5\nd1,d3,oops\n", labels)
+    with pytest.raises(ValueError, match="'d1,d3,x'"):
+        read_score_file("id_a,id_b,score\nd1,d2,0.5\nd1,d3,x\n", labels)
 
 
 def test_write_curve_csv(tmp_path):
@@ -489,50 +514,18 @@ def test_read_score_file_non_finite(labeled_store):
             read_score_file(f"d1,d2,0.5\nd1,d3,{bad}\n", labels)
 
 
-# --- columnar record ---
-
-
-def test_pair_scores_rows_and_equality():
-    ids = ["x", "y", "z"]
-    a = PairScores(
-        ids=ids,
-        i=np.array([0, 1], dtype=np.int32),
-        j=np.array([2, 2], dtype=np.int32),
-        score=np.array([0.5, 1.5]),
-        match=np.array([True, False]),
-    )
-    rows = [ScoredPair("x", "z", 0.5, True), ScoredPair("y", "z", 1.5, False)]
-    assert list(a) == rows
-    assert [a[0], a[1], a[-1]] == rows + rows[1:]
-    with pytest.raises(IndexError):
-        a[2]
-    # the same rows over a differently ordered id table
-    b = PairScores(
-        ids=["z", "y", "x"],
-        i=np.array([2, 1], dtype=np.int32),
-        j=np.array([0, 0], dtype=np.int32),
-        score=np.array([0.5, 1.5]),
-        match=np.array([True, False]),
-    )
-    assert a == b
-    c = PairScores(ids, a.i, a.j, np.array([0.5, 2.0]), a.match)
-    assert a != c
-    assert a != PairScores(ids, a.i[:1], a.j[:1], a.score[:1], a.match[:1])
-    assert auc(roc_curve(a, LOWER)) == auc(roc_curve(rows, LOWER))
-
-
 # --- exactness oracles: the per-pair implementation, kept as the reference ---
 
 
 def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
-    """One ScoredPair per pair: scalar decoding, per-pair label comparison
-    and distances over 8192-pair chunks."""
+    """One (id_a, id_b, score, is_match) row per pair: scalar decoding,
+    per-pair label comparison and distances over 8192-pair chunks."""
     entries = sorted(store.entries, key=lambda e: e.id)
     match = family_match if level == "family" else superfamily_match
     n = len(entries)
     total = pair_count(n)
     if sample is not None and sample < total:
-        ks = sample_pair_indices(total, sample, seed)
+        ks = sample_pair_indices(total, sample, seed).tolist()
     else:
         ks = list(range(total))
     mat = np.stack([e.values for e in entries])
@@ -543,9 +536,7 @@ def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
         d = mat[[i for i, _ in ij]] - mat[[j for _, j in ij]]
         for (i, j), dist in zip(ij, np.sqrt((d * d).sum(axis=1))):
             a, b = entries[i], entries[j]
-            out.append(
-                ScoredPair(a.id, b.id, float(dist), match(labels[a.id], labels[b.id]))
-            )
+            out.append((a.id, b.id, float(dist), match(labels[a.id], labels[b.id])))
     return out
 
 
@@ -563,16 +554,6 @@ def oracle_store():
     sccs = ["a.1.1.1", "a.1.1.2", "a.1.2.1", "a.2.1.1", "b.1.1.1", "b.1.1.2", "c.3.1.1"]
     labels = {i: parse_scop_label(i, sccs[k % len(sccs)]) for k, i in enumerate(ids)}
     return store, labels
-
-
-def assert_same_rows(got, expected):
-    assert len(got) == len(expected)
-    assert [(p.id_a, p.id_b) for p in got] == [(p.id_a, p.id_b) for p in expected]
-    assert [p.is_match for p in got] == [p.is_match for p in expected]
-    assert (
-        np.array([p.score for p in got]).tobytes()
-        == np.array([p.score for p in expected]).tobytes()
-    )
 
 
 @pytest.mark.parametrize(
@@ -593,8 +574,8 @@ def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs, monkeypatc
     got = score_pairs(store, labels, **kwargs)
     kwargs.pop("jobs", None)
     expected = reference_score_pairs(store, labels, **kwargs)
-    assert_same_rows(got, expected)
-    assert any(p.is_match for p in expected)
+    assert_same_pairs(got, expected)
+    assert any(m for _, _, _, m in expected)
 
 
 @pytest.mark.parametrize("case", ["all", "gaps", "sampled", "one_pair", "none"])
@@ -645,15 +626,19 @@ def test_pairs_from_indices_range_check():
 
 def reference_roc(pairs, pol):
     """Walk the pairs from most to least similar, one point per distinct score."""
-    rows = sorted(pairs, key=lambda p: p.score, reverse=pol is HIGHER)
-    n_match = sum(p.is_match for p in rows)
+    rows = sorted(
+        zip(pairs.score.tolist(), pairs.match.tolist()),
+        key=lambda row: row[0],
+        reverse=pol is HIGHER,
+    )
+    n_match = sum(m for _, m in rows)
     n_non = len(rows) - n_match
     points = [(0.0, 0.0)]
     tp = fp = 0
-    for k, p in enumerate(rows):
-        tp += p.is_match
-        fp += not p.is_match
-        if k == len(rows) - 1 or rows[k + 1].score != p.score:
+    for k, (s, m) in enumerate(rows):
+        tp += m
+        fp += not m
+        if k == len(rows) - 1 or rows[k + 1][0] != s:
             points.append((fp / n_non, tp / n_match))
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
@@ -667,53 +652,22 @@ def test_roc_matches_scalar_reference():
         n = 400
         scores = rng.integers(0, 37, size=n) / 8.0
         pairs = pairs_from(scores, rng.random(n) < 0.3)
-        record = PairScores(
-            ids=[f"a{k}" for k in range(n)] + [f"b{k}" for k in range(n)],
-            i=np.arange(n, dtype=np.int32),
-            j=np.arange(n, 2 * n, dtype=np.int32),
-            score=scores,
-            match=np.array([p.is_match for p in pairs]),
-        )
         for pol in (LOWER, HIGHER):
             expected = [(x.hex(), y.hex()) for x, y in reference_roc(pairs, pol)]
-            for given_pairs in (pairs, record):
-                got = roc_curve(given_pairs, pol)
-                assert [(x.hex(), y.hex()) for x, y in got] == expected
+            fpr, tpr = roc_curve(pairs, pol)
+            assert [(x.hex(), y.hex()) for x, y in zip(fpr.tolist(), tpr.tolist())] == expected
 
 
-def test_roc_curve_reads_as_pairs():
+def test_roc_curve_is_two_float64_columns():
     pairs = pairs_from([0.1, 0.2, 0.2, 0.9], [1, 0, 1, 0])
-    curve = roc_curve(pairs, LOWER)
-    assert isinstance(curve, RocCurve)
-    assert curve.fpr.dtype == curve.tpr.dtype == np.float64
-    expected = [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
-    assert len(curve) == 4
-    assert curve == expected and expected == curve
-    assert curve == RocCurve(np.array([0.0, 0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0, 1.0]))
-    assert curve != expected[:3]
-    assert curve != [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (1.0, 1.0)]
-    assert curve[-1] == (1.0, 1.0) and curve[1] == (0.0, 0.5)
-    assert all(type(v) is float for point in curve for v in point)
-    assert all(type(v) is float for v in curve[2])
-    with pytest.raises(IndexError):
-        curve[4]
+    fpr, tpr = roc_curve(pairs, LOWER)
+    assert fpr.dtype == tpr.dtype == np.float64
+    assert fpr.tolist() == [0.0, 0.0, 0.5, 1.0]
+    assert tpr.tolist() == [0.0, 0.5, 1.0, 1.0]
 
 
-def record_from(scores, matches):
-    """A PairScores whose pairs all join the same two ids."""
-    n = len(scores)
-    return PairScores(
-        ids=["a", "b"],
-        i=np.zeros(n, dtype=np.int32),
-        j=np.ones(n, dtype=np.int32),
-        score=np.asarray(scores, dtype=np.float64),
-        match=np.asarray(matches, dtype=bool),
-    )
-
-
-def reference_auc(curve):
+def reference_auc(points):
     """The point-by-point trapezoid loop, kept as the reference for auc's bits."""
-    points = list(curve)
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
@@ -729,10 +683,10 @@ def test_auc_matches_loop_reference_bit_for_bit():
         matches = rng.random(n) < rng.uniform(0.05, 0.6)
         matches[:2] = [True, False]
         for pol in (LOWER, HIGHER):
-            curve = roc_curve(record_from(scores, matches), pol)
-            expected = reference_auc(curve).hex()
-            assert auc(curve).hex() == expected
-            assert auc(list(curve)).hex() == expected
+            fpr, tpr = roc_curve(pairs_from(scores, matches), pol)
+            expected = reference_auc(list(zip(fpr.tolist(), tpr.tolist()))).hex()
+            assert auc(fpr, tpr).hex() == expected
+            assert auc(fpr.tolist(), tpr.tolist()).hex() == expected
 
 
 @pytest.mark.parametrize(
@@ -746,7 +700,9 @@ def test_auc_matches_loop_reference_bit_for_bit():
     ],
 )
 def test_auc_of_plain_lists_matches_loop_reference(points):
-    assert auc(points).hex() == reference_auc(points).hex()
+    fpr = [x for x, _ in points]
+    tpr = [y for _, y in points]
+    assert auc(fpr, tpr).hex() == reference_auc(points).hex()
 
 
 def reference_write_curve_csv(path, metric, polarity, rows):
@@ -783,7 +739,7 @@ def test_roc_auc_and_csv_memory_bound(tmp_path):
     # columns, not one tuple per point, and the CSV formatted a chunk at a time
     rng = np.random.default_rng(41)
     n = 200_000
-    pairs = record_from(rng.random(n), rng.random(n) < 0.05)
+    pairs = pairs_from(rng.random(n), rng.random(n) < 0.05)
 
     def traced_peak(fn):
         tracemalloc.start()
@@ -793,12 +749,12 @@ def test_roc_auc_and_csv_memory_bound(tmp_path):
         finally:
             tracemalloc.stop()
 
-    curve, roc_peak = traced_peak(lambda: roc_curve(pairs, LOWER))
-    _, auc_peak = traced_peak(lambda: auc(curve))
+    (fpr, tpr), roc_peak = traced_peak(lambda: roc_curve(pairs, LOWER))
+    _, auc_peak = traced_peak(lambda: auc(fpr, tpr))
     _, csv_peak = traced_peak(
-        lambda: write_curve_csv(tmp_path / "roc.csv", "roc", LOWER, curve.fpr, curve.tpr, 0)
+        lambda: write_curve_csv(tmp_path / "roc.csv", "roc", LOWER, fpr, tpr, 0)
     )
-    assert len(curve) == n + 1
+    assert len(fpr) == len(tpr) == n + 1
     for name, peak in (("roc_curve", roc_peak), ("auc", auc_peak), ("csv", csv_peak)):
         assert peak <= 16 * 2**20, f"{name}: peak traced allocation {peak / 2**20:.1f} MB"
 
@@ -821,7 +777,7 @@ def reference_read_score_file(text, labels, level="family"):
             raise
         first = False
         a, b = parts[0], parts[1]
-        pairs.append(ScoredPair(a, b, s, match(labels[a], labels[b])))
+        pairs.append((a, b, s, match(labels[a], labels[b])))
     return pairs
 
 
@@ -837,7 +793,7 @@ def test_read_score_file_matches_per_row_reference(oracle_store, level):
         if rng.random() < 0.05:
             lines.append("# comment")
     text = "\n".join(lines) + "\n"
-    assert_same_rows(
+    assert_same_pairs(
         read_score_file(text, labels, level=level),
         reference_read_score_file(text, labels, level=level),
     )

@@ -10,7 +10,7 @@ import pytest
 from comogphog import scoring
 from comogphog.featuredb import FeatureStore, build_index, load_store, save_store
 from comogphog.features import FeatureVector
-from comogphog.scoring import LengthMismatchError, ScoreResult, _distances, score, search
+from comogphog.scoring import LengthMismatchError, _distances, score, search
 
 
 def fv(name, values):
@@ -19,6 +19,13 @@ def fv(name, values):
 
 def random_vectors(count, rng, length=1024):
     return [fv(f"v{i:04d}", rng.random(length)) for i in range(count)]
+
+
+def ranked(hits):
+    """search's id and distance columns as (distance, id) rows of Python values."""
+    ids, dist = hits
+    assert dist.dtype == np.float64 and len(dist) == len(ids)
+    return list(zip(dist.tolist(), ids))
 
 
 def test_identity_is_zero():
@@ -63,15 +70,14 @@ def test_triangle_inequality():
 def test_search_self_match_first():
     rng = np.random.default_rng(3)
     db = random_vectors(20, rng)
-    hits = search(db, db[7], 5)
-    assert hits[0] == ScoreResult(query_id="v0007", target_id="v0007", distance=0.0)
+    assert ranked(search(db, db[7], 5))[0] == (0.0, "v0007")
 
 
 def test_search_truncation():
     rng = np.random.default_rng(4)
     db = random_vectors(5, rng)
-    assert len(search(db, db[0], 99)) == 5
-    assert len(search(db, db[0], 1)) == 1
+    assert len(ranked(search(db, db[0], 99))) == 5
+    assert len(ranked(search(db, db[0], 1))) == 1
 
 
 def test_search_matches_brute_force_sort():
@@ -80,16 +86,15 @@ def test_search_matches_brute_force_sort():
     q = fv("q", rng.random(1024))
     expected = sorted(((score(e, q), e.id) for e in db))
     for k in (1, 3, 50, 60):
-        got = search(db, q, k)
-        assert [(h.distance, h.target_id) for h in got] == expected[: min(k, 50)]
+        assert ranked(search(db, q, k)) == expected[: min(k, 50)]
 
 
 def test_search_breaks_ties_by_id():
     shared = np.random.default_rng(6).random(1024)
     db = [fv("zeta", shared), fv("alpha", shared), fv("mid", shared)]
-    hits = search(db, fv("q", shared + 0.01), 3)
-    assert [h.target_id for h in hits] == ["alpha", "mid", "zeta"]
-    assert len({h.distance for h in hits}) == 1
+    ids, dist = search(db, fv("q", shared + 0.01), 3)
+    assert ids == ["alpha", "mid", "zeta"]
+    assert len(set(dist.tolist())) == 1
 
 
 def test_search_argument_validation():
@@ -105,7 +110,7 @@ def test_search_accepts_a_store():
     rng = np.random.default_rng(10)
     db = random_vectors(30, rng)
     q = fv("q", rng.random(1024))
-    assert search(FeatureStore(db), q, 7) == search(db, q, 7)
+    assert ranked(search(FeatureStore(db), q, 7)) == ranked(search(db, q, 7))
     with pytest.raises(LengthMismatchError):
         search(FeatureStore(db), fv("short", np.zeros(1000)), 3)
 
@@ -133,12 +138,12 @@ def test_search_distances_equal_score_bit_for_bit(case):
     _, vectors, query = case
     db = [fv(f"e{i:03d}", v) for i, v in enumerate(vectors)]
     q = fv("q", query)
-    hits = search(db, q, len(db))
+    hits = ranked(search(db, q, len(db)))
     assert len(hits) == len(db)
     by_id = {e.id: e for e in db}
-    for h in hits:
-        assert float.hex(h.distance) == float.hex(score(by_id[h.target_id], q))
-    assert [(h.distance, h.target_id) for h in hits] == sorted((score(e, q), e.id) for e in db)
+    for d, tid in hits:
+        assert float.hex(d) == float.hex(score(by_id[tid], q))
+    assert hits == sorted((score(e, q), e.id) for e in db)
 
 
 def test_search_ties_straddling_k():
@@ -154,7 +159,7 @@ def test_search_ties_straddling_k():
     for q in (fv("zero", np.zeros(1024)), fv("near", shared + 1e-3)):
         full = sorted((score(e, q), e.id) for e in db)
         for k in range(1, len(db) + 2):
-            assert [(h.distance, h.target_id) for h in search(db, q, k)] == full[:k]
+            assert ranked(search(db, q, k)) == full[:k]
 
 
 def test_load_and_search_memory_is_bounded(tmp_path):
@@ -167,11 +172,11 @@ def test_load_and_search_memory_is_bounded(tmp_path):
     q = fv("q", rng.random(1024))
     tracemalloc.start()
     try:
-        hits = search(load_store(path), q, 10)
+        ids, _ = search(load_store(path), q, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(hits) == 10
+    assert len(ids) == 10
     # the 41 MB matrix is not copied: only the scored rows are read; one
     # entry list of objects per row took 79 MB
     assert peak <= 8 * 2**20
@@ -195,7 +200,7 @@ def brute_force(store, q):
 
 
 def hexed(hits):
-    return [(h.target_id, float.hex(h.distance)) for h in hits]
+    return [(tid, float.hex(d)) for d, tid in ranked(hits)]
 
 
 def lattice(dims=6, length=64):
@@ -297,7 +302,7 @@ def test_pruned_search_on_one_or_two_rows(n):
     q = fv("q", rng.random(16))
     for k in (1, 2, 3):
         assert hexed(search(pruned, q, k)) == hexed(search(full, q, k))
-        assert len(search(pruned, q, k)) == min(k, n)
+        assert len(ranked(search(pruned, q, k))) == min(k, n)
     empty = np.empty((0, 16))
     with pytest.raises(ValueError, match="empty"):
         search(FeatureStore(ids=[], matrix=empty, index=build_index(empty)), q, 1)
@@ -316,8 +321,7 @@ def test_a_row_with_a_non_finite_bound_is_scored(bad):
         matrix=matrix,
         index=dataclasses.replace(pruned.index, rows=rows),
     )
-    hits = search(store, fv("q", matrix[123]), 3)
-    assert hits[0].target_id == "r0123" and hits[0].distance == 0.0
+    assert ranked(search(store, fv("q", matrix[123]), 3))[0] == (0.0, "r0123")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
