@@ -170,7 +170,7 @@ def cmd_evaluate(args) -> int:
             seed=args.seed,
             jobs=args.jobs,
         )
-        del store  # unmap the rows before the curves are built
+        del store  # drop the rows before the curves are built
     else:
         if not args.polarity:
             raise UsageError("--polarity {lower,higher} is required for external score files")

@@ -21,24 +21,25 @@ Store layout, format v3 (little-endian throughout):
 The index (:class:`ProjectionIndex`) is a pure function of the matrix
 bytes; :func:`comogphog.scoring.search` uses it to skip rows that cannot
 be among the nearest, and reads the rows it does score through
-:meth:`FeatureStore.read_rows`.  A loaded v3 store maps the header, ids
-and index, keeps the file open, and maps the matrix only when
+:meth:`FeatureStore.read_rows`.  A loaded v3 store reads the header, ids
+and index, keeps the file open, and reads the matrix only when
 ``matrix`` is first used: until then rows are read with ``preadv``, so a
-search that scores a few rows keeps only those in memory.
+search keeps only the rows it scores in memory.  Every byte comes from
+a read, so a file cut short after loading raises
+:class:`CorruptEntryError` rather than a bus error.
 
 Format v2 (still read, never written) has no blob length, rank or index:
 after the vector length, per entry a u16 id byte length and the UTF-8 id,
 zero bytes up to the next multiple of 8, then the matrix.  Format v1
 (still read, never written) holds the count, then per entry the id
 length, the id and 1024 float64 values; it implies the default config.
-v1 and v2 stores load with a rank-0 index and map or read the matrix
-whole.  Raw float64 bytes round-trip bit-exactly.
+v1 and v2 stores load with a rank-0 index and read the matrix whole.
+Raw float64 bytes round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 import secrets
 import struct
@@ -61,7 +62,7 @@ _SECTIONS = struct.Struct("<QI")
 _IDLEN = struct.Struct("<H")
 _V1_VEC_BYTES = FEATURE_LENGTH * 8
 _MATRIX_ALIGN = 4096
-_PREADV = hasattr(os, "preadv")  # not on Windows: rows come from the map there
+_PREADV = hasattr(os, "preadv")  # not on Windows: a v3 matrix is read at load there
 
 # The index: r axes fitted by randomized subspace iteration (Halko,
 # Martinsson & Tropp 2011) on a strided sample of rows, started from a
@@ -188,6 +189,19 @@ def build_index(matrix: np.ndarray) -> ProjectionIndex:
     return index
 
 
+def _short(path) -> CorruptEntryError:
+    return CorruptEntryError(f"{path}: file is shorter than its header says")
+
+
+def _read_head(fh, path, size: int) -> bytearray:
+    """The first ``size`` bytes of the file, read with one ``readinto``."""
+    buf = bytearray(size)
+    fh.seek(0)
+    if fh.readinto(buf) != size:
+        raise _short(path)
+    return buf
+
+
 class _MatrixFile:
     """The matrix section of an open store file: ``shape`` float64 rows at ``offset``.
 
@@ -202,35 +216,28 @@ class _MatrixFile:
         self.fd = os.dup(fh.fileno())
         self.close = weakref.finalize(self, os.close, self.fd)
 
-    def _short(self) -> CorruptEntryError:
-        return CorruptEntryError(f"{self.path}: file is shorter than its header says")
-
-    def map(self) -> np.ndarray:
-        """The whole matrix, mapped copy-on-write (see :func:`_map`)."""
-        skip = self.offset % mmap.ALLOCATIONGRANULARITY
-        size = math.prod(self.shape)
-        try:
-            buf = _map(self.fd, skip + 8 * size, self.offset - skip)
-        except ValueError:  # the file shrank after it was loaded
-            raise self._short() from None
-        return np.frombuffer(buf, dtype="<f8", count=size, offset=skip).reshape(self.shape)
-
     def read_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
         """Read matrix ``rows`` into the C-contiguous ``'<f8'`` array ``out``.
 
-        One ``preadv`` per run of consecutive row numbers; a read that
-        comes back short raises :class:`CorruptEntryError`.
+        One ``preadv`` per run of consecutive row numbers (more if a read
+        comes back partial); a row past the end of the file raises
+        :class:`CorruptEntryError`.
         """
         if not len(rows):
             return
-        view = memoryview(out)  # sliced by row
+        width = 8 * self.shape[1]
+        view = memoryview(out).cast("B")
         cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
         starts = [0, *cuts]
-        at = (rows[starts].astype(np.int64) * (8 * self.shape[1]) + self.offset).tolist()
+        at = (rows[starts].astype(np.int64) * width + self.offset).tolist()
         for a, b, pos in zip(starts, [*cuts, len(rows)], at):
-            want = view[a:b]
-            if os.preadv(self.fd, [want], pos) != want.nbytes:
-                raise self._short()
+            want = view[a * width : b * width]
+            # one read returns at most 0x7ffff000 bytes on Linux, so go on
+            # after a partial read; only the end of the file stops short
+            while (got := os.preadv(self.fd, [want], pos)) < len(want):
+                if not got:
+                    raise _short(self.path)
+                want, pos = want[got:], pos + got
 
 
 class FeatureStore:
@@ -247,8 +254,8 @@ class FeatureStore:
     the format the store was read from; :func:`save_store` always writes
     the current one, with a freshly built index.
 
-    A v3 store from :func:`load_store` holds its file open and maps
-    ``matrix`` the first time it is used; before that,
+    A v3 store from :func:`load_store` holds its file open and reads
+    ``matrix`` from it the first time it is used; before that,
     :meth:`read_rows` reads rows from the file.
     """
 
@@ -278,28 +285,29 @@ class FeatureStore:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The (count, length) float64 rows, mapped from the file on first use."""
+        """The (count, length) float64 rows, read from the file on first use."""
         if self._matrix is None:
-            self._matrix = self._file.map()
+            matrix = np.empty(self._file.shape, dtype="<f8")
+            self._file.read_rows(np.arange(len(matrix)), matrix)  # one run
             self._file.close()
-            self._file = None
+            self._file, self._matrix = None, matrix
         return self._matrix
 
     @property
     def shape(self) -> tuple[int, int]:
-        """``matrix.shape``, without mapping it."""
+        """``matrix.shape``, without reading it."""
         return self._matrix.shape if self._file is None else self._file.shape
 
     def read_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
         """Copy ``matrix[rows]`` into the C-contiguous ``'<f8'`` array ``out``.
 
         ``rows`` must be valid row numbers.  Until ``matrix`` is first used
-        the rows are read from the store file, one read per run of
-        consecutive row numbers, so sorted rows read fastest; after that
-        (and for stores not loaded from v3) they are copied from
-        ``matrix``, so every write into it is seen.
+        the rows of a loaded v3 store are read from its file, one read per
+        run of consecutive row numbers, so sorted rows read fastest; after
+        that (and for every other store) they are copied from ``matrix``,
+        so every write into it is seen.
         """
-        if self._file is None or not _PREADV:
+        if self._file is None:
             # in range, so "clip" lets take write straight into out
             # instead of buffering for its bounds check
             np.take(self.matrix, rows, axis=0, out=out, mode="clip")
@@ -360,8 +368,8 @@ def save_store(store: FeatureStore, path) -> None:
     """Write a store in format v3, building its index.
 
     The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so readers (and maps) of the old file keep
-    its bytes and a failed write leaves the old file in place.  Raises
+    then renamed over ``path``, so readers of the old file keep its
+    bytes and a failed write leaves the old file in place.  Raises
     ValueError on duplicate ids, an id containing NUL or a lone surrogate
     (ids are stored as UTF-8), a matrix that does not fit the config, or a
     value that is not finite.
@@ -450,13 +458,6 @@ def _read_geometry(fh, path) -> FeatureConfig:
     return config
 
 
-def _map(fd: int, length: int = 0, offset: int = 0) -> mmap.mmap:
-    # A private (copy-on-write) map: the values are writable, writes stay
-    # in this process, and a store file replaced by save_store keeps the
-    # old bytes mapped.
-    return mmap.mmap(fd, length, access=mmap.ACCESS_COPY, offset=offset)
-
-
 def _load_v2(fh, path, count: int) -> FeatureStore:
     config = _read_geometry(fh, path)
     length = config.length
@@ -467,7 +468,7 @@ def _load_v2(fh, path, count: int) -> FeatureStore:
     offset = size - count * length * 8
     if offset < start + count * _IDLEN.size:
         raise CorruptEntryError(f"{path}: file too short for {count} entries")
-    buf = _map(fh.fileno())
+    buf = _read_head(fh, path, size)
     ids: list[str] = []
     pos = start
     for _ in range(count):
@@ -498,10 +499,10 @@ def _load_v3(fh, path, count: int) -> FeatureStore:
     rows_at = axes_at + 8 * rank * length
     index_end = rows_at + 8 * count * rank
     matrix_at = index_end + _pad(index_end, _MATRIX_ALIGN)
-    if os.fstat(fh.fileno()).st_size != matrix_at + 8 * count * length:
+    size = os.fstat(fh.fileno()).st_size
+    if size != matrix_at + 8 * count * length:
         raise CorruptEntryError(f"{path}: file size does not match its header")
-    # [0, matrix_at) ends on a page, so no fault on this map reaches the matrix
-    buf = _map(fh.fileno(), matrix_at)
+    buf = _read_head(fh, path, matrix_at if count and _PREADV else size)
     try:
         ids = str(buf[start : start + blob_len], "utf-8").split("\0")
     except UnicodeDecodeError as exc:
@@ -523,8 +524,8 @@ def _load_v3(fh, path, count: int) -> FeatureStore:
     if not np.isfinite(mean).all() or not departure <= _MAX_DEPARTURE:
         raise CorruptEntryError(f"{path}: index axes are not orthonormal or mean not finite")
     index = ProjectionIndex(mean, axes, f64(rows_at, count, rank), departure)
-    if not count:
-        matrix = np.empty((0, length))
+    if len(buf) == size:  # the matrix was read with the rest
+        matrix = f64(matrix_at, count, length)
         return FeatureStore(ids=ids, matrix=matrix, config=config, version=3, index=index)
     store = FeatureStore(ids=ids, config=config, version=3, index=index)
     store._file = _MatrixFile(fh, path, matrix_at, (count, length))
@@ -537,10 +538,12 @@ _LOADERS = {1: _load_v1, 2: _load_v2, 3: _load_v3}
 def load_store(path) -> FeatureStore:
     """Read a store (format v1, v2 or v3), verifying magic, version and framing.
 
-    Only the header, the ids and the index axes are checked.  A v2
-    matrix is mapped copy-on-write.  A v3 store maps its header, ids and
-    index, and keeps the file open: search reads the rows it scores with
-    ``preadv``, and the matrix is mapped when ``matrix`` is first used.
+    Only the header, the ids and the index axes are checked.  A v1 or v2
+    store is read whole.  A v3 store reads its header, ids and index and
+    keeps the file open: search reads the rows it scores with ``preadv``,
+    and the matrix is read when ``matrix`` is first used.  A file that
+    turns out shorter than its header says raises
+    :class:`CorruptEntryError`, at load or at a later read.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)

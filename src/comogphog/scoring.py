@@ -40,27 +40,24 @@ def score(fq, fi) -> float:
     return math.sqrt(float(np.dot(d, d)))
 
 
-def _distances(db: FeatureStore, q: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """``score()`` of every row of ``db`` (or of ``rows`` of it) against ``q``, bit for bit.
+def _distances(db: FeatureStore, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``score()`` of ``rows`` of ``db`` against ``q``, bit for bit.
 
     numpy evaluates each (1, n) @ (n, 1) core of the stacked matmul with
     the same dot loop as ``np.dot`` on two 1-D arrays, so every distance
     equals ``score()``; ``(d * d).sum(axis=1)`` and ``einsum`` add in
-    another order and do not.  The whole store is read in place from
-    ``db.matrix``; listed rows are fetched a block at a time with
+    another order and do not.  Rows are fetched a block at a time with
     :meth:`~comogphog.featuredb.FeatureStore.read_rows` into one reused
-    buffer, so a loaded store reads only those rows from its file.
+    buffer, so a loaded store reads only those rows from its file, and a
+    whole scan holds one block of them at a time.
     """
-    count = len(db) if rows is None else len(rows)
+    count = len(rows)
     out = np.empty(count)
     buf = np.empty((min(_BLOCK, count), q.size), dtype="<f8")
     for s in range(0, count, _BLOCK):
         d = buf[: min(_BLOCK, count - s)]
-        if rows is None:
-            np.subtract(db.matrix[s : s + _BLOCK], q, out=d)
-        else:
-            db.read_rows(rows[s : s + _BLOCK], out=d)
-            d -= q
+        db.read_rows(rows[s : s + _BLOCK], out=d)
+        d -= q
         np.matmul(d[:, None, :], d[:, :, None], out=out[s : s + _BLOCK, None, None])
     return np.sqrt(out, out=out)
 
@@ -150,8 +147,7 @@ def search(db, query, k: int) -> tuple[list[str], np.ndarray]:
         # in row order, so a loaded store reads runs of adjacent rows at once;
         # the order within a batch does not change the hits
         batch = np.sort(order[done : done + size])
-        # the whole store in its own order is read in place
-        d = _distances(db, q, None if len(batch) == n else batch)
+        d = _distances(db, q, batch)
         bad = np.flatnonzero(~np.isfinite(d))
         if bad.size:
             raise ValueError(f"non-finite distance {d[bad[0]]} to {ids[batch[bad[0]]]!r}")

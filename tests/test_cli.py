@@ -738,6 +738,44 @@ def test_evaluate_non_finite_score_exits_1(corpus, tmp_path, capsys, bad):
     assert "hel0,ext0" in stderr
 
 
+def test_evaluate_score_row_with_a_decimal_comma_exits_1(corpus, tmp_path, capsys):
+    # "0,5" is two fields: read as three, the row would score 0
+    _, labels = corpus
+    score_file = tmp_path / "scores.csv"
+    score_file.write_text("hel0,hel1,0,5\nhel0,ext0,2,25\nhel1,ext0,1,0\n")
+    out = tmp_path / "eval"
+    code, _, stderr = run(
+        capsys, "evaluate", score_file, out, "--labels", labels, "--polarity", "lower"
+    )
+    assert code == 1
+    assert stderr.endswith(
+        "error: score row has more fields than id_a,id_b,score: 'hel0,hel1,0,5'\n"
+    )
+    assert not (out / "summary.txt").exists()
+
+
+def test_evaluate_mistyped_first_score_row_exits_1(corpus, tmp_path, capsys):
+    # a first row naming labelled ids is data, not a header, even if its
+    # score does not parse ("1.O" holds a letter O)
+    _, labels = corpus
+    score_file = tmp_path / "scores.csv"
+    score_file.write_text("hel0,hel1,1.O\nhel0,ext0,2.0\nhel1,ext0,1.0\next0,ext1,0.5\n")
+    out = tmp_path / "eval"
+    code, _, stderr = run(
+        capsys, "evaluate", score_file, out, "--labels", labels, "--polarity", "lower"
+    )
+    assert code == 1
+    assert stderr.endswith("error: score row has a score that is not a number: 'hel0,hel1,1.O'\n")
+    assert not (out / "summary.txt").exists()
+    # a header names no labelled id, so it is still skipped
+    score_file.write_text("id_a,id_b,score\nhel0,ext0,2.0\nhel1,ext0,1.0\next0,ext1,0.5\n")
+    code, _, _ = run(
+        capsys, "evaluate", score_file, out, "--labels", labels, "--polarity", "lower"
+    )
+    assert code == 0
+    assert "pairs= 3" in (out / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "case",
     [

@@ -359,7 +359,7 @@ def test_loaded_matrix_is_a_writable_plain_array(tmp_path):
     on_disk = path.read_bytes()
     store = load_store(path)
     assert type(store.matrix) is np.ndarray
-    store.entries[1].values[3] = -1.5  # copy-on-write: reaches the matrix, not the file
+    store.entries[1].values[3] = -1.5  # reaches the matrix read from the file, not the file
     assert store.matrix[1, 3] == -1.5
     assert path.read_bytes() == on_disk
     save_store(store, tmp_path / "t.cmg")
@@ -494,14 +494,14 @@ def test_damaged_v2_loads_or_raises_documented_error(tmp_path):
 # --- atomic save ---
 
 
-def test_save_over_a_loaded_store_keeps_its_map(tmp_path):
+def test_save_over_a_loaded_store_keeps_its_bytes(tmp_path):
     path = tmp_path / "s.cmg"
     save_store(make_store(["a", "b", "c"], seed=1), path)
-    mapped = load_store(path)
-    before = mapped.matrix.tobytes()
+    loaded = load_store(path)
+    before = loaded.matrix.tobytes()
     save_store(make_store(["z"], seed=2), path)
-    assert mapped.matrix.tobytes() == before
-    assert mapped.ids() == ["a", "b", "c"]
+    assert loaded.matrix.tobytes() == before
+    assert loaded.ids() == ["a", "b", "c"]
     assert load_store(path).ids() == ["z"]
 
 
@@ -539,6 +539,6 @@ def test_loading_and_dropping_stores_keeps_no_descriptor(tmp_path):
         ids, _ = search(loaded, q, 5)  # reads rows from the file
         assert ids[0] == "e07"
         if i % 2:
-            loaded.matrix  # maps the matrix
+            loaded.matrix  # reads the matrix and closes the file
         del loaded
     assert len(os.listdir("/proc/self/fd")) == before

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -170,16 +171,18 @@ def test_load_and_search_memory_is_bounded(tmp_path):
     save_store(store, path)
     del store
     q = fv("q", rng.random(1024))
-    tracemalloc.start()
-    try:
-        ids, _ = search(load_store(path), q, 10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(ids) == 10
-    # the 41 MB matrix is not copied: only the scored rows are read; one
-    # entry list of objects per row took 79 MB
-    assert peak <= 8 * 2**20
+    # k = n is a whole scan, which reads 64 rows at a time, not the matrix
+    for k in (10, n):
+        tracemalloc.start()
+        try:
+            ids, _ = search(load_store(path), q, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == k
+        # the 41 MB matrix is not copied: only the scored rows are read; one
+        # entry list of objects per row took 79 MB
+        assert peak <= 8 * 2**20
 
 
 # --- pruned search against the full scan ---
@@ -285,8 +288,8 @@ def test_pruned_search_scores_few_rows_of_a_clustered_store(monkeypatch):
     pruned, _ = indexed(matrix)
     scored = []
 
-    def counting(m, q, rows=None):
-        scored.append(len(m) if rows is None else len(rows))
+    def counting(m, q, rows):
+        scored.append(len(rows))
         return _distances(m, q, rows)
 
     monkeypatch.setattr(scoring, "_distances", counting)
@@ -405,3 +408,99 @@ def test_search_of_a_store_cut_short_after_loading_raises(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stdout == f"{path}: file is shorter than its header says\n"
+
+
+def _run_child(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True
+    )
+
+
+# Loads a store, reads one row, cuts its file to one page, then searches
+# it: exits 3 on CorruptEntryError, printing it.
+_CUT_TO_A_PAGE_SEARCH = """
+import os, sys
+import numpy as np
+from comogphog.featuredb import CorruptEntryError, load_store
+from comogphog.scoring import search
+
+path = sys.argv[1]
+store = load_store(path)
+store.read_rows(np.array([0]), np.empty((1, 1024)))
+os.truncate(path, 4096)
+try:
+    search(store, np.full(1024, 0.5), 5)
+except CorruptEntryError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_search_of_a_store_cut_to_a_page_after_loading_raises(tmp_path):
+    # the header, ids and index were read at load, so cutting them away
+    # cannot kill the process either
+    path, _ = clustered_store(tmp_path, 30, n=200)
+    proc = _run_child(_CUT_TO_A_PAGE_SEARCH, path)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == f"{path}: file is shorter than its header says\n"
+
+
+# Loads a store and uses its matrix, cuts the file to one page, then runs
+# a whole-scan search and score_pairs: prints whether both answer as before.
+_CUT_AFTER_MATRIX_USE = """
+import os, sys
+import numpy as np
+from comogphog.evalstats import score_pairs
+from comogphog.featuredb import load_store
+from comogphog.scoring import search
+from comogphog.structure_io import parse_scop_label
+
+path = sys.argv[1]
+store = load_store(path)
+store.matrix
+labels = {
+    sid: parse_scop_label(sid, "a.1.1.1" if n % 2 else "b.1.1.1")
+    for n, sid in enumerate(store.ids())
+}
+
+
+def answers():
+    ids, dist = search(store, np.full(1024, 0.5), len(store) + 1)
+    pairs = score_pairs(store, labels)
+    return ids, dist.tobytes(), pairs.score.tobytes(), pairs.match.tobytes()
+
+
+before = answers()
+os.truncate(path, 4096)
+print(answers() == before)
+"""
+
+
+def test_whole_scan_and_pairs_of_a_store_cut_short_after_matrix_use(tmp_path):
+    path, _ = clustered_store(tmp_path, 31, n=200)
+    proc = _run_child(_CUT_AFTER_MATRIX_USE, path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "True\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "preadv"), reason="needs os.preadv")
+def test_rows_arrive_whole_from_partial_reads(tmp_path, monkeypatch):
+    # one read returns at most 0x7ffff000 bytes on Linux; here at most a page
+    path, matrix = clustered_store(tmp_path, 32, n=300)
+    q = fv("q", matrix[123] + 1e-3)
+
+    def answers():
+        store = load_store(path)
+        hits = [hexed(search(store, q, k)) for k in (10, len(store))]
+        return hits, store.matrix.tobytes()
+
+    expect = answers()
+    real = os.preadv
+
+    def a_page_at_most(fd, buffers, pos):
+        (view,) = buffers
+        return real(fd, [memoryview(view).cast("B")[:4096]], pos)
+
+    monkeypatch.setattr(os, "preadv", a_page_at_most)
+    got = answers()
+    assert got == expect and got[1] == matrix.tobytes()
