@@ -4,7 +4,10 @@ Treats "same family" (or "same superfamily") as the positive class and a
 pairwise score as the discriminant: empirical match-probability curves over
 score bins, Matthews correlation sweeps over thresholds, ROC staircases and
 trapezoid AUC.  Works both on descriptor stores (scoring all structure
-pairs) and on externally computed score files.
+pairs) and on externally computed score files.  Pairs from a store are
+scored with the one distance kernel of :mod:`comogphog.scoring`, so each
+score equals :func:`~comogphog.scoring.score` of its pair, bit for bit, and
+:func:`~comogphog.scoring.search` finds the same distances.
 
 Every result is columns.  Scored pairs are one :class:`PairScores` record
 (an id table, int32 pair indices, float64 scores and bool matches; 17
@@ -27,20 +30,20 @@ from operator import attrgetter
 import numpy as np
 
 from .featuredb import FeatureStore
+from .scoring import _distances
 from .structure_io import ScopLabel
 
 DEFAULT_EVAL_BINS = 200
 
 # pairs scored per work unit; fixed so results do not depend on the job count
 _CHUNK = 8192
-# pairs per distance block: keeps the (block, 1024) buffer in cache
-_BLOCK = 32
 # CSV rows formatted per chunk: bounds the strings alive at once
 _CSV_CHUNK = 4096
 # fewest pairs scored in a process pool when jobs > 1.  Timed in fresh
-# processes on a 2-core VM, two workers were slower than one process at up
-# to 151k pairs (pool start-up) and faster from 211k on.
-_POOL_MIN_PAIRS = 200_000
+# processes on a 2-core VM (one BLAS thread), two workers were slower than
+# one process at up to 404k pairs of a whole store and 800k sampled pairs
+# (pool start-up, and the serial sampler), and faster from 604k and 1M on.
+_POOL_MIN_PAIRS = 600_000
 
 
 class DegenerateRangeError(ValueError):
@@ -304,50 +307,30 @@ def sample_pair_indices(total: int, count: int, seed: int) -> np.ndarray:
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _distances(mat: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Euclidean distance between rows ``i[k]`` and ``j[k]`` of ``mat``.
+def _pair_distances(db: FeatureStore, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distance between rows ``i[k]`` and ``j[k]`` of ``db``, equal to ``score()``.
 
-    Pairs come in flat-index order, so ``i`` never decreases and ``j``
-    rises within each run of equal ``i``.  Each run subtracts a block of
-    its ``j`` rows from the broadcast row ``mat[i]``; rows with consecutive
-    ``j`` (every block of an all-pairs run) are read in place, others are
-    gathered first.  Each pair's sum runs over its own contiguous difference
-    row, so a distance does not depend on the block size or on how pairs
-    are split into work units.
+    Pairs come in flat-index order, so ``i`` never decreases; each run of
+    equal ``i`` is one call of search's kernel with row ``i`` as the query
+    and the run's ``j`` as the rows.
     """
     out = np.empty(len(i))
-    # on a 64-byte boundary: the in-place square and row sums ran 25-60%
-    # slower on a buffer 16, 32 or 48 bytes past one (2-core x86-64 VM),
-    # and where malloc puts it depends on what the process freed before
-    raw = np.empty(_BLOCK * mat.shape[1] + 8)
-    at = -raw.__array_interface__["data"][0] % 64 // 8
-    buf = raw[at : at + _BLOCK * mat.shape[1]].reshape(_BLOCK, mat.shape[1])
-    runs = np.flatnonzero(np.diff(i)) + 1
-    for start, stop in zip([0, *runs.tolist()], [*runs.tolist(), len(i)]):
-        for s in range(start, stop, _BLOCK):
-            e = min(s + _BLOCK, stop)
-            d = buf[: e - s]
-            first, last = int(j[s]), int(j[e - 1])
-            if last - first == e - s - 1:
-                np.subtract(mat[i[s]], mat[first : last + 1], out=d)
-            else:
-                np.take(mat, j[s:e], axis=0, out=d)
-                np.subtract(mat[i[s]], d, out=d)
-            np.multiply(d, d, out=d)
-            d.sum(axis=1, out=out[s:e])
-    return np.sqrt(out, out=out)
+    starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()
+    for s, e in zip(starts, [*starts[1:], len(i)]):
+        out[s:e] = _distances(db, db.matrix[i[s]], j[s:e])
+    return out
 
 
-_PAIR_MAT: np.ndarray | None = None
+_PAIR_STORE: FeatureStore | None = None
 
 
-def _init_pair_worker(mat: np.ndarray) -> None:
-    global _PAIR_MAT
-    _PAIR_MAT = mat
+def _init_pair_worker(db: FeatureStore) -> None:
+    global _PAIR_STORE
+    _PAIR_STORE = db
 
 
 def _pair_worker(ij: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    return _distances(_PAIR_MAT, *ij)
+    return _pair_distances(_PAIR_STORE, *ij)
 
 
 def score_pairs(
@@ -362,9 +345,10 @@ def score_pairs(
 
     All n*(n-1)/2 unordered pairs by default; ``sample`` draws that many
     pairs with a seeded deterministic sampler.  Entries are paired in id
-    order and results are identical for any ``jobs`` setting; ``jobs`` > 1
-    starts a process pool only from 200,000 pairs on.  Raises ValueError
-    naming the first pair whose score is not finite.
+    order, and each score equals ``score()`` of its pair bit for bit, for
+    any ``jobs`` setting; ``jobs`` > 1 starts a process pool only from
+    600,000 pairs on.  Raises ValueError naming the first pair whose
+    score is not finite.
     """
     ids, mat = store.ids(), store.matrix
     if ids != sorted(ids):
@@ -385,14 +369,15 @@ def score_pairs(
     else:
         ks = np.arange(total, dtype=np.int64)
     i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
+    db = FeatureStore(ids=ids, matrix=mat)
     if jobs > 1 and len(i) >= _POOL_MIN_PAIRS:
         units = [(i[s : s + _CHUNK], j[s : s + _CHUNK]) for s in range(0, len(i), _CHUNK)]
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_pair_worker, initargs=(mat,)
+            max_workers=jobs, initializer=_init_pair_worker, initargs=(db,)
         ) as pool:
             scores = np.concatenate(list(pool.map(_pair_worker, units)))
     else:
-        scores = _distances(mat, i, j)
+        scores = _pair_distances(db, i, j)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         at = bad[0]

@@ -141,3 +141,25 @@ def confusion_at_threshold(pairs, threshold, polarity):
     fn = int(np.count_nonzero(~pred & match))
     tn = len(pairs) - tp - fp - fn
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+
+
+def adversarial_sets():
+    """(name, vectors, query) cases for the exact-distance oracles.
+
+    300 vectors of 1024 values each: random, duplicated rows, subnormal,
+    near 1e150 and one ulp apart.
+    """
+    rng = np.random.default_rng(11)
+    base = rng.random((300, 1024))
+    yield "random", base, rng.random(1024)
+    dup = base[rng.integers(0, 20, size=300)]
+    yield "duplicates", dup, dup[0].copy()
+    denormal = rng.integers(0, 50, size=(300, 1024)) * 5e-324
+    yield "denormals", denormal, denormal[3].copy()
+    huge = rng.uniform(-1.0, 1.0, size=(300, 1024)) * 1e150
+    yield "near 1e150", huge, huge[7] * 0.5
+    ulp = np.repeat(base[:1], 300, axis=0)
+    for r in range(1, 300):
+        c = rng.integers(0, 1024, size=r % 7 + 1)
+        ulp[r, c] = np.nextafter(ulp[r, c], np.inf if r % 2 else -np.inf)
+    yield "one ulp apart", ulp, base[0].copy()

@@ -35,6 +35,7 @@ from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score
 from comogphog.structure_io import parse_scop_label
 from oracles import (
+    adversarial_sets,
     assert_same_pairs,
     confusion_at_threshold,
     family_match,
@@ -416,7 +417,7 @@ class CountingPool(evalstats.ProcessPoolExecutor):
 def threshold_store():
     # just over the pool threshold in pairs, so a sample can straddle it
     rng = np.random.default_rng(33)
-    n = 633
+    n = 1096
     assert pair_count(n) > evalstats._POOL_MIN_PAIRS + 1
     store = FeatureStore(
         entries=[FeatureVector(id=f"t{k:03d}", values=rng.random(FEATURE_LENGTH)) for k in range(n)]
@@ -519,7 +520,7 @@ def test_read_score_file_non_finite(labeled_store):
 
 def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
     """One (id_a, id_b, score, is_match) row per pair: scalar decoding,
-    per-pair label comparison and distances over 8192-pair chunks."""
+    per-pair label comparison and ``score()`` of each pair."""
     entries = sorted(store.entries, key=lambda e: e.id)
     match = family_match if level == "family" else superfamily_match
     n = len(entries)
@@ -528,15 +529,10 @@ def reference_score_pairs(store, labels, level="family", sample=None, seed=0):
         ks = sample_pair_indices(total, sample, seed).tolist()
     else:
         ks = list(range(total))
-    mat = np.stack([e.values for e in entries])
     out = []
-    for s in range(0, len(ks), 8192):
-        chunk = ks[s : s + 8192]
-        ij = [pair_from_index(k, n) for k in chunk]
-        d = mat[[i for i, _ in ij]] - mat[[j for _, j in ij]]
-        for (i, j), dist in zip(ij, np.sqrt((d * d).sum(axis=1))):
-            a, b = entries[i], entries[j]
-            out.append((a.id, b.id, float(dist), match(labels[a.id], labels[b.id])))
+    for k in ks:
+        a, b = (entries[x] for x in pair_from_index(k, n))
+        out.append((a.id, b.id, score(a, b), match(labels[a.id], labels[b.id])))
     return out
 
 
@@ -580,8 +576,9 @@ def test_score_pairs_matches_per_pair_reference(oracle_store, kwargs, monkeypatc
 
 @pytest.mark.parametrize("case", ["all", "gaps", "sampled", "one_pair", "none"])
 def test_distances_match_one_block_of_all_pairs(case):
-    # all pairs reads rows in place; a gap in j, at a block boundary or
-    # inside a block, makes that block gather its rows
+    # every pair equals score(), whether its run of equal i is whole, cut
+    # by a gap in j (at a block boundary or inside a block), sampled, one
+    # pair long or absent
     rng = np.random.default_rng(38)
     n = 90
     mat = rng.random((n, FEATURE_LENGTH))
@@ -595,9 +592,29 @@ def test_distances_match_one_block_of_all_pairs(case):
     elif case == "none":
         ks = ks[:0]
     i, j = (a.astype(np.int32) for a in pairs_from_indices(ks, n))
-    d = mat[i] - mat[j]
-    expected = np.sqrt((d * d).sum(axis=1))
-    assert evalstats._distances(mat, i, j).tobytes() == expected.tobytes()
+    expected = np.array([score(mat[a], mat[b]) for a, b in zip(i.tolist(), j.tolist())])
+    db = FeatureStore(ids=[f"r{k:02d}" for k in range(n)], matrix=mat)
+    assert evalstats._pair_distances(db, i, j).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["all", "sampled", "jobs2"])
+@pytest.mark.parametrize("case", list(adversarial_sets()), ids=lambda c: c[0])
+def test_score_pairs_equal_score_bit_for_bit(case, mode, monkeypatch):
+    # evaluate, score and search share one kernel: every pair's distance
+    # is score() of its two vectors, to the last bit
+    _, vectors, _ = case
+    monkeypatch.setattr(evalstats, "_POOL_MIN_PAIRS", 0)
+    ids = [f"e{k:03d}" for k in range(len(vectors))]
+    store = FeatureStore(ids=ids, matrix=vectors)
+    sccs = ["a.1.1.1", "a.1.1.2", "b.1.1.1"]
+    labels = {sid: parse_scop_label(sid, sccs[k % 3]) for k, sid in enumerate(ids)}
+    kwargs = {"all": {}, "sampled": {"sample": 5000, "seed": 3}, "jobs2": {"jobs": 2}}[mode]
+    pairs = score_pairs(store, labels, **kwargs)
+    assert len(pairs) == kwargs.get("sample", pair_count(len(ids)))
+    got = [float.hex(s) for s in pairs.score.tolist()]
+    ij = zip(pairs.i.tolist(), pairs.j.tolist())
+    want = [float.hex(score(vectors[a], vectors[b])) for a, b in ij]
+    assert got == want
 
 
 def test_pairs_from_indices_every_index():

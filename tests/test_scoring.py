@@ -12,6 +12,7 @@ from comogphog import scoring
 from comogphog.featuredb import FeatureStore, build_index, load_store, save_store
 from comogphog.features import FeatureVector
 from comogphog.scoring import LengthMismatchError, _distances, score, search
+from oracles import adversarial_sets
 
 
 def fv(name, values):
@@ -114,24 +115,6 @@ def test_search_accepts_a_store():
     assert ranked(search(FeatureStore(db), q, 7)) == ranked(search(db, q, 7))
     with pytest.raises(LengthMismatchError):
         search(FeatureStore(db), fv("short", np.zeros(1000)), 3)
-
-
-def adversarial_sets():
-    """(name, vectors, query) cases for the exact-distance oracle."""
-    rng = np.random.default_rng(11)
-    base = rng.random((300, 1024))
-    yield "random", base, rng.random(1024)
-    dup = base[rng.integers(0, 20, size=300)]
-    yield "duplicates", dup, dup[0].copy()
-    denormal = rng.integers(0, 50, size=(300, 1024)) * 5e-324
-    yield "denormals", denormal, denormal[3].copy()
-    huge = rng.uniform(-1.0, 1.0, size=(300, 1024)) * 1e150
-    yield "near 1e150", huge, huge[7] * 0.5
-    ulp = np.repeat(base[:1], 300, axis=0)
-    for r in range(1, 300):
-        c = rng.integers(0, 1024, size=r % 7 + 1)
-        ulp[r, c] = np.nextafter(ulp[r, c], np.inf if r % 2 else -np.inf)
-    yield "one ulp apart", ulp, base[0].copy()
 
 
 @pytest.mark.parametrize("case", list(adversarial_sets()), ids=lambda c: c[0])
@@ -504,3 +487,43 @@ def test_rows_arrive_whole_from_partial_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "preadv", a_page_at_most)
     got = answers()
     assert got == expect and got[1] == matrix.tobytes()
+
+
+# Scores all pairs of a random store, searches it (pruned and whole) and
+# scores single pairs; prints the hex digest of every distance and hit.
+_ONE_KERNEL_BYTES = """
+import hashlib
+import numpy as np
+from comogphog.evalstats import score_pairs
+from comogphog.featuredb import FeatureStore, build_index
+from comogphog.scoring import score, search
+from comogphog.structure_io import parse_scop_label
+
+rng = np.random.default_rng(33)
+matrix = rng.random((120, 1024))
+ids = [f"e{k:03d}" for k in range(120)]
+store = FeatureStore(ids=ids, matrix=matrix, index=build_index(matrix))
+label = parse_scop_label("x", "a.1.1.1")
+h = hashlib.sha256(score_pairs(store, {i: label for i in ids}).score.tobytes())
+for q in rng.random((5, 1024)):
+    for k in (10, 120):
+        hits, dist = search(store, q, k)
+        h.update(" ".join(hits).encode() + dist.tobytes())
+pairs = rng.integers(0, 120, size=(50, 2)).tolist()
+h.update(np.array([score(matrix[a], matrix[b]) for a, b in pairs]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_distances_do_not_depend_on_the_blas_thread_count():
+    # the kernel's dot runs in BLAS; at 1024 values OpenBLAS does not split
+    # it across threads (above 10,000 values it does, see README)
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_KERNEL_BYTES], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
