@@ -29,7 +29,6 @@ from comogphog.evalstats import (
     PairScores,
     Polarity,
     auc,
-    default_thresholds,
     mcc_curve,
     pvalue_curve,
     roc_curve,
@@ -77,7 +76,9 @@ def main(argv=None) -> int:
     inter = pairs.score[~pairs.match]
     pol = Polarity.LOWER_IS_SIMILAR
 
-    thresholds, values, _, _ = mcc_curve(pairs, pol, default_thresholds(pairs, args.bins))
+    centers, prob, count = pvalue_curve(pairs, args.bins)
+    # the MCC is swept over the bin centers, as evaluate does
+    thresholds, values, _, _ = mcc_curve(pairs, pol, centers)
     peak = int(np.argmax(values))
     fpr, tpr = roc_curve(pairs, pol)
     elapsed = time.perf_counter() - t0
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_curve_csv(out / "pvalue.csv", "pvalue", pol, *pvalue_curve(pairs, args.bins))
+        write_curve_csv(out / "pvalue.csv", "pvalue", pol, centers, prob, count)
         write_curve_csv(out / "mcc.csv", "mcc", pol, thresholds, values, len(pairs))
         write_curve_csv(out / "roc.csv", "roc", pol, fpr, tpr, 0)
         print(f"curves written to {out}")

@@ -9,18 +9,14 @@ two structures is a single Euclidean distance, independent of their sizes.
 
 from .distmat import distance_matrix, to_gray
 from .evalstats import (
-    ConfusionCounts,
     PairScores,
     Polarity,
     auc,
-    default_thresholds,
-    mcc,
     mcc_curve,
     pvalue_curve,
     read_score_file,
     roc_curve,
     score_pairs,
-    sensitivity_specificity,
     write_curve_csv,
 )
 from .featuredb import (
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CaTrace",
-    "ConfusionCounts",
     "FEATURE_LENGTH",
     "FeatureConfig",
     "FeatureStore",
@@ -74,14 +69,12 @@ __all__ = [
     "TooManyResiduesError",
     "auc",
     "comograd",
-    "default_thresholds",
     "distance_matrix",
     "extract_features",
     "gradient_field",
     "haar_downsample",
     "ingest_dir",
     "load_store",
-    "mcc",
     "mcc_curve",
     "normalize_size",
     "parse_scop_label",
@@ -96,7 +89,6 @@ __all__ = [
     "score",
     "score_pairs",
     "search",
-    "sensitivity_specificity",
     "to_gray",
     "write_curve_csv",
 ]

@@ -6,7 +6,8 @@ maps the error's type to the exit code, most specific type first:
     3  MissingLabelError: an id has no label
     2  EmptyCorpusError: extract found no parseable structure file
     2  UsageError: --jobs, --k or --sample below 1, --eval-bins below 2,
-       a score file without --polarity, or a score file with no data rows
+       a score file without --polarity, a store with --polarity higher,
+       or a score file with no data rows
     1  OSError: a file that cannot be read or written
     1  ValueError: a bad config or store, unparseable input, a non-finite
        score or distance, a store built with other geometry, or all scores
@@ -152,8 +153,14 @@ def cmd_evaluate(args) -> int:
     _require_at_least(2, "eval-bins", args.eval_bins)
     features, eval_bins = _load_config(args.config)
     store = featuredb.load_store(args.input) if _is_store(args.input) else None
-    # a store's vectors were built with the geometry it records
     if store is not None:
+        # a store's scores are distances: lower always means similar
+        if args.polarity == Polarity.HIGHER_IS_SIMILAR.value:
+            raise UsageError(
+                f"--polarity higher does not apply to a store: {args.input} "
+                "scores pairs by distance, where lower means similar"
+            )
+        # its vectors were built with the geometry it records
         _check_store_geometry(args.config, features, store, args.input)
     if args.eval_bins is not None:
         eval_bins = args.eval_bins
@@ -161,7 +168,7 @@ def cmd_evaluate(args) -> int:
     labels = read_label_table(Path(args.labels).read_text())
 
     if store is not None:
-        polarity = Polarity(args.polarity) if args.polarity else Polarity.LOWER_IS_SIMILAR
+        polarity = Polarity.LOWER_IS_SIMILAR
         pairs = evalstats.score_pairs(
             store,
             labels,
@@ -186,37 +193,30 @@ def cmd_evaluate(args) -> int:
 
 def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out_dir: Path) -> int:
     n_match = np.count_nonzero(pairs.match)
+    n_non = len(pairs) - n_match
     centers, prob, count = evalstats.pvalue_curve(pairs, eval_bins)
     evalstats.write_curve_csv(out_dir / "pvalue.csv", "pvalue", polarity, centers, prob, count)
 
-    grid = evalstats.default_thresholds(pairs, eval_bins)
-    thresholds, values, tp, fp = evalstats.mcc_curve(pairs, polarity, grid)
+    # the MCC is swept over the bin centers of the match-probability curve
+    thresholds, values, tp, fp = evalstats.mcc_curve(pairs, polarity, centers)
     evalstats.write_curve_csv(out_dir / "mcc.csv", "mcc", polarity, thresholds, values, len(pairs))
-    # the first threshold of the highest MCC, and the table it was computed from
+    # the first threshold of the highest MCC; the rates below are its table's
     peak = int(np.argmax(values))
     peak_threshold, peak_mcc = float(thresholds[peak]), float(values[peak])
-    conf = evalstats.ConfusionCounts(
-        tp=int(tp[peak]),
-        tn=len(pairs) - n_match - int(fp[peak]),
-        fp=int(fp[peak]),
-        fn=n_match - int(tp[peak]),
-    )
-    try:
-        sens, spec = evalstats.sensitivity_specificity(conf)
-        sens_s, spec_s = f"{sens:.6f}", f"{spec:.6f}"
-    except evalstats.UndefinedRateError:
-        sens_s = spec_s = "undefined"
 
-    single_class = False
     try:
         fpr, tpr = evalstats.roc_curve(pairs, polarity)
-        area = evalstats.auc(fpr, tpr)
-        evalstats.write_curve_csv(out_dir / "roc.csv", "roc", polarity, fpr, tpr, 0)
-        auc_s = f"{area:.6f}"
     except evalstats.SingleClassError as exc:
-        single_class = True
-        auc_s = "undefined (single class)"
+        # no matches or no non-matches: no AUC, and no rate at the peak
         print(f"error: {exc}; roc.csv not written", file=sys.stderr)
+        auc_s, sens_s, spec_s = "undefined (single class)", "undefined", "undefined"
+        exit_code = 3
+    else:
+        auc_s = f"{evalstats.auc(fpr, tpr):.6f}"
+        evalstats.write_curve_csv(out_dir / "roc.csv", "roc", polarity, fpr, tpr, 0)
+        sens_s = f"{int(tp[peak]) / n_match:.6f}"
+        spec_s = f"{(n_non - int(fp[peak])) / n_non:.6f}"
+        exit_code = 0
 
     summary = "\n".join(
         [
@@ -233,7 +233,7 @@ def _write_evaluation(pairs, polarity: Polarity, eval_bins: int, level: str, out
     )
     (out_dir / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     print(summary)
-    return 3 if single_class else 0
+    return exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--polarity",
         choices=[pol.value for pol in Polarity],
         help="which end of the score means similar (required for score files; "
-        "stores default to lower)",
+        "a store's distances are always lower)",
     )
     pv.add_argument("--level", choices=["family", "superfamily"], default="family")
     pv.add_argument("--eval-bins", type=int, default=None, help="score bins / threshold grid size")

@@ -54,10 +54,6 @@ class SingleClassError(ValueError):
     """ROC needs at least one match and one non-match."""
 
 
-class UndefinedRateError(ValueError):
-    """Sensitivity/specificity undefined for an empty actual class."""
-
-
 class MissingLabelError(KeyError):
     """A scored id has no entry in the label table."""
 
@@ -92,32 +88,20 @@ class PairScores:
         return len(self.score)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def mcc(c: ConfusionCounts) -> float:
-    """Matthews correlation coefficient.
+def _mcc_column(tp, fp, n, m) -> np.ndarray:
+    """Matthews correlation of the tables ``tp``, ``fp``, ``fn = m - tp``, ``tn = n - m - fp``.
 
     (tp*tn - fp*fn) / sqrt((tp+fp)(tp+fn)(tn+fp)(tn+fn)), defined as 0
-    whenever any marginal of the table is empty.
+    wherever a marginal of the table is empty.  Takes integer arrays or
+    scalars of one broadcast shape.  The numerator and marginals are
+    int64 (tp*tn <= n*n/4 fits below 6e9 pairs); the marginals are
+    multiplied in float64, left to right.
     """
-    d1 = c.tp + c.fp
-    d2 = c.tp + c.fn
-    d3 = c.tn + c.fp
-    d4 = c.tn + c.fn
-    if 0 in (d1, d2, d3, d4):
-        return 0.0
-    num = c.tp * c.tn - c.fp * c.fn
-    return num / math.sqrt(float(d1) * d2 * d3 * d4)
+    tp, fp, n, m = (np.asarray(a, dtype=np.int64) for a in (tp, fp, n, m))
+    fn, tn = m - tp, n - m - fp
+    product = (tp + fp).astype(np.float64) * (tp + fn) * (tn + fp) * (tn + fn)
+    num = (tp * tn - fp * fn).astype(np.float64)
+    return np.divide(num, np.sqrt(product), out=np.zeros_like(product), where=product > 0)
 
 
 def mcc_curve(
@@ -148,32 +132,7 @@ def mcc_curve(
         npos = n - lo
         tp = m_total - cum_m[lo]
     fp = npos - tp
-    values = [
-        mcc(ConfusionCounts(tp=a, tn=n - m_total - b, fp=b, fn=m_total - a))
-        for a, b in zip(tp.tolist(), fp.tolist())
-    ]
-    return t, np.array(values, dtype=np.float64), tp, fp
-
-
-def _bin_grid(scores: np.ndarray, num_bins: int) -> tuple[float, float, np.ndarray]:
-    """``(lo, width, centers)`` of ``num_bins`` equal-width bins spanning ``scores``.
-
-    Raises :class:`DegenerateRangeError` when all scores are equal, and
-    ValueError naming the range when the bin width is not a positive finite
-    float (finite scores can span more than the largest float).
-    """
-    if not len(scores):
-        raise ValueError("no pairs to bin")
-    lo = float(scores.min())
-    hi = float(scores.max())
-    if lo == hi:
-        raise DegenerateRangeError("all scores are equal; bins are undefined")
-    width = (hi - lo) / num_bins
-    if not 0.0 < width < math.inf:
-        raise ValueError(
-            f"score range [{lo!r}, {hi!r}] cannot be split into {num_bins} equal-width bins"
-        )
-    return lo, width, lo + (np.arange(num_bins) + 0.5) * width
+    return t, _mcc_column(tp, fp, n, m_total), tp, fp
 
 
 def pvalue_curve(pairs: PairScores, num_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,21 +142,31 @@ def pvalue_curve(pairs: PairScores, num_bins: int) -> tuple[np.ndarray, np.ndarr
     and the pair count (int64).  The probability is the raw fraction of
     match pairs among the pairs landing in the bin; empty bins carry count
     0 and NaN and are never interpolated.  Binning does not depend on the
-    score polarity.
+    score polarity; the centers are the thresholds ``evaluate`` sweeps the
+    MCC over.  Raises :class:`DegenerateRangeError` when all scores are
+    equal, and ValueError naming the range when the bin width is not a
+    positive finite float.
     """
     if num_bins < 2:
         raise ValueError(f"need at least 2 bins, got {num_bins}")
-    lo, width, centers = _bin_grid(pairs.score, num_bins)
+    if not len(pairs):
+        raise ValueError("no pairs to bin")
+    lo = float(pairs.score.min())
+    hi = float(pairs.score.max())
+    if lo == hi:
+        raise DegenerateRangeError("all scores are equal; bins are undefined")
+    width = (hi - lo) / num_bins
+    # finite scores can span more than the largest float
+    if not 0.0 < width < math.inf:
+        raise ValueError(
+            f"score range [{lo!r}, {hi!r}] cannot be split into {num_bins} equal-width bins"
+        )
+    centers = lo + (np.arange(num_bins) + 0.5) * width
     idx = np.minimum(((pairs.score - lo) / width).astype(np.int64), num_bins - 1)
     total = np.bincount(idx, minlength=num_bins)
     matched = np.bincount(idx[pairs.match], minlength=num_bins)
     prob = np.divide(matched, total, out=np.full(num_bins, np.nan), where=total > 0)
     return centers, prob, total
-
-
-def default_thresholds(pairs: PairScores, num_bins: int = DEFAULT_EVAL_BINS) -> np.ndarray:
-    """Centers of the equal-width score bins (same grid as the match-probability curve)."""
-    return _bin_grid(pairs.score, num_bins)[2]
 
 
 def roc_curve(pairs: PairScores, polarity: Polarity) -> tuple[np.ndarray, np.ndarray]:
@@ -243,13 +212,6 @@ def auc(fpr, tpr) -> float:
     # cumsum accumulates in sequence (np.sum would add pairwise); 0.0 + is
     # the loop's starting value, which turns a sum of -0.0 terms into 0.0
     return 0.0 + float(np.cumsum(terms)[-1])
-
-
-def sensitivity_specificity(c: ConfusionCounts) -> tuple[float, float]:
-    """(tp/(tp+fn), tn/(tn+fp)); raises when either actual class is empty."""
-    if c.tp + c.fn == 0 or c.tn + c.fp == 0:
-        raise UndefinedRateError("empty actual-positive or actual-negative class")
-    return c.tp / (c.tp + c.fn), c.tn / (c.tn + c.fp)
 
 
 _LEVEL_KEYS = {

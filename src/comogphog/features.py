@@ -93,15 +93,13 @@ def comograd(quant: QuantizedOrientations) -> np.ndarray:
     b = quant.bin
     v = quant.valid
     n = quant.bins
-    counts = np.zeros(n * n, dtype=np.float64)
     h, w = b.shape
+    flat = []
     for dr, dc in _CO_OFFSETS:
-        src = b[: h - dr, : w - dc]
-        dst = b[dr:, dc:]
         ok = v[: h - dr, : w - dc] & v[dr:, dc:]
-        if ok.any():
-            flat = src[ok] * n + dst[ok]
-            counts += np.bincount(flat, minlength=n * n).astype(np.float64)
+        flat.append(b[: h - dr, : w - dc][ok] * n + b[dr:, dc:][ok])
+    # whole counts, so one tally over both offsets gives the same sums
+    counts = np.bincount(np.concatenate(flat), minlength=n * n).astype(np.float64)
     total = counts.sum()
     if total > 0.0:
         counts /= total
@@ -133,16 +131,16 @@ def phog(
     if size % (1 << levels):
         raise ValueError(f"side {size} not divisible by 2^{levels}")
     quant = quantize_orientations(field, bins)
-    weight = np.where(quant.valid, field.magnitude, 0.0)
-    cells: list[np.ndarray] = []
+    weight = np.where(quant.valid, field.magnitude, 0.0).ravel()
+    levels_hist: list[np.ndarray] = []
     for level in range(levels + 1):
-        step = size >> level
-        for r in range(0, size, step):
-            for c in range(0, size, step):
-                wb = weight[r : r + step, c : c + step].ravel()
-                bb = quant.bin[r : r + step, c : c + step].ravel()
-                cells.append(np.bincount(bb, weights=wb, minlength=bins))
-    hist = np.concatenate(cells)
+        # each pixel's (cell, bin) slot; bincount adds in row-major order,
+        # which within one cell is the cell's own row-major order
+        k = 1 << level
+        band = np.arange(size) // (size >> level)
+        slot = (band[:, None] * k + band[None, :]) * bins + quant.bin
+        levels_hist.append(np.bincount(slot.ravel(), weights=weight, minlength=k * k * bins))
+    hist = np.concatenate(levels_hist)
     if length is not None:
         if length < hist.size:
             raise ValueError(f"length {length} < {hist.size} histogram values")

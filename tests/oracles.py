@@ -4,9 +4,13 @@ None of these run in the program: each is the plain form of something the
 program computes another way.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from comogphog.evalstats import ConfusionCounts, PairScores, Polarity
+from comogphog.evalstats import PairScores, Polarity
+from comogphog.features import quantize_orientations
 from comogphog.imageops import _resample_weights
 
 
@@ -27,6 +31,32 @@ def bicubic_resize(img, out_h, out_w, clamp=True):
     if clamp:
         np.clip(out, 0.0, 1.0, out=out)
     return out
+
+
+def phog_by_cell(field, bins, levels, length):
+    """The pyramid block, one bincount per quad-tree cell.
+
+    The byte oracle for ``phog``, which tallies each level in one pass;
+    ``length=None`` leaves the concatenation unpadded.
+    """
+    size = field.shape[0]
+    quant = quantize_orientations(field, bins)
+    weight = np.where(quant.valid, field.magnitude, 0.0)
+    cells = []
+    for level in range(levels + 1):
+        step = size >> level
+        for r in range(0, size, step):
+            for c in range(0, size, step):
+                wb = weight[r : r + step, c : c + step].ravel()
+                bb = quant.bin[r : r + step, c : c + step].ravel()
+                cells.append(np.bincount(bb, weights=wb, minlength=bins))
+    hist = np.concatenate(cells)
+    if length is not None:
+        hist = np.concatenate([hist, np.zeros(length - hist.size)])
+    total = hist.sum()
+    if total > 0.0:
+        hist /= total
+    return hist
 
 
 def pair_from_index(k, n):
@@ -120,6 +150,33 @@ def assert_same_pairs(got, expected):
         np.array([r[2] for r in got]).tobytes()
         == np.array([r[2] for r in expected]).tobytes()
     )
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """One 2x2 table of predicted against actual matches."""
+
+    tp: int
+    tn: int
+    fp: int
+    fn: int
+
+
+def mcc(c):
+    """Matthews correlation coefficient of one ConfusionCounts, in Python ints.
+
+    (tp*tn - fp*fn) / sqrt((tp+fp)(tp+fn)(tn+fp)(tn+fn)), defined as 0
+    whenever any marginal of the table is empty.  The program computes a
+    whole column of these at once in ``mcc_curve``.
+    """
+    d1 = c.tp + c.fp
+    d2 = c.tp + c.fn
+    d3 = c.tn + c.fp
+    d4 = c.tn + c.fn
+    if 0 in (d1, d2, d3, d4):
+        return 0.0
+    num = c.tp * c.tn - c.fp * c.fn
+    return num / math.sqrt(float(d1) * d2 * d3 * d4)
 
 
 def confusion_at_threshold(pairs, threshold, polarity):

@@ -22,11 +22,9 @@ from mpmath import sqrt as mp_sqrt
 from comogphog.cli import main
 from comogphog.distmat import distance_matrix, to_gray
 from comogphog.evalstats import (
-    ConfusionCounts,
     Polarity,
+    _mcc_column,
     auc,
-    default_thresholds,
-    mcc,
     mcc_curve,
     pvalue_curve,
     roc_curve,
@@ -357,12 +355,13 @@ def _random_pairs(rng, n, match_rate=0.4):
 
 def test_acceptance_5_evaluation_oracles():
     with criterion(5, "evaluation statistics oracles"):
-        # MCC against 50-digit arithmetic for every table with <= 12 entries
-        for tp, tn, fp, fn in itertools.product(range(13), repeat=4):
-            if tp + tn + fp + fn > 12:
-                continue
-            got = mcc(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
-            assert abs(got - _mcc_exact(tp, tn, fp, fn)) <= TOL_EVAL
+        # MCC against 50-digit arithmetic for every table with <= 12 entries,
+        # as one column of the helper mcc_curve computes its values with
+        tables = [t for t in itertools.product(range(13), repeat=4) if sum(t) <= 12]
+        tp, tn, fp, fn = np.array(tables).T
+        got = _mcc_column(tp, fp, tp + tn + fp + fn, tp + fn)
+        for table, value in zip(tables, got.tolist()):
+            assert abs(value - _mcc_exact(*table)) <= TOL_EVAL
 
         rng = np.random.default_rng(50)
 
@@ -422,7 +421,7 @@ def test_acceptance_6_synthetic_separation():
         inter = pairs.score[~pairs.match]
         assert intra.max() < inter.min()  # every within-family pair scores closer
 
-        _, values, _, _ = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
+        _, values, _, _ = mcc_curve(pairs, LOWER, pvalue_curve(pairs, 200)[0])
         assert values.max() == 1.0
         assert auc(*roc_curve(pairs, LOWER)) == 1.0
         assert time.perf_counter() - start < BUDGET_SEPARATION_S

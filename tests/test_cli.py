@@ -15,7 +15,6 @@ import pytest
 from comogphog.cli import main
 from comogphog.evalstats import (
     Polarity,
-    default_thresholds,
     mcc_curve,
     pvalue_curve,
     score_pairs,
@@ -497,7 +496,7 @@ def test_evaluate_matches_library_curves(corpus, store_path, tmp_path, capsys):
 
     header, rows = read_rows(out / "mcc.csv")
     assert header == "mcc:lower,value,count"
-    thresholds, values, _, _ = mcc_curve(pairs, pol, default_thresholds(pairs, 200))
+    thresholds, values, _, _ = mcc_curve(pairs, pol, pvalue_curve(pairs, 200)[0])
     assert len(rows) == len(thresholds) == 200
     for row, t, m in zip(rows, thresholds.tolist(), values.tolist()):
         assert float(row[0]) == t
@@ -578,15 +577,49 @@ def test_evaluate_superfamily_level(corpus, store_path, tmp_path, capsys):
 
 
 def test_evaluate_single_class_exits_3(corpus, store_path, tmp_path, capsys):
-    labels = tmp_path / "one_class.tsv"
-    labels.write_text("".join(f"{sid}\ta.1.1.1\n" for sid in HELIX_IDS + EXT_IDS))
-    out = tmp_path / "eval"
-    code, _, stderr = run(capsys, "evaluate", store_path, out, "--labels", labels)
-    assert code == 3
-    assert not (out / "roc.csv").exists()
-    assert (out / "mcc.csv").exists()
-    assert "auc= undefined (single class)" in (out / "summary.txt").read_text()
-    assert "error" in stderr
+    ids = HELIX_IDS + EXT_IDS
+    # every pair a match (one family), then every pair a non-match
+    for name, families in (("all_match", [1] * len(ids)), ("no_match", range(1, len(ids) + 1))):
+        labels = tmp_path / f"{name}.tsv"
+        labels.write_text("".join(f"{sid}\ta.1.1.{f}\n" for sid, f in zip(ids, families)))
+        out = tmp_path / name
+        code, _, stderr = run(capsys, "evaluate", store_path, out, "--labels", labels)
+        assert code == 3
+        assert not (out / "roc.csv").exists()
+        assert (out / "mcc.csv").exists()
+        summary = (out / "summary.txt").read_text()
+        assert "auc= undefined (single class)" in summary
+        assert "sensitivity= undefined\n" in summary
+        assert "specificity= undefined\n" in summary
+        assert stderr.splitlines()[1:] == [
+            "error: need at least one match and one non-match; roc.csv not written"
+        ]
+
+
+def test_evaluate_summary_rates_hand_cases(tmp_path, capsys):
+    # every threshold of the grid splits the scores 0 and 1, so the
+    # summary's rates are those of the one table (tp, fn, tn, fp)
+    for tp, fn, tn, fp, rates in (
+        (3, 1, 5, 0, ("0.750000", "1.000000")),
+        (4, 0, 6, 0, ("1.000000", "1.000000")),
+        (2, 2, 1, 3, ("0.500000", "0.250000")),
+    ):
+        rows = [(0.0, True)] * tp + [(1.0, True)] * fn + [(1.0, False)] * tn + [(0.0, False)] * fp
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(
+            "".join(
+                f"a{k}\tc.1.1.{k + 1}\nb{k}\tc.1.1.{k + 1 if match else 1000 + k}\n"
+                for k, (_, match) in enumerate(rows)
+            )
+        )
+        scores = tmp_path / "scores.csv"
+        scores.write_text("".join(f"a{k},b{k},{s}\n" for k, (s, _) in enumerate(rows)))
+        out = tmp_path / f"eval{tp}{fn}{tn}{fp}"
+        code, stdout, _ = run(
+            capsys, "evaluate", scores, out, "--labels", labels, "--polarity", "lower"
+        )
+        assert code == 0
+        assert f"sensitivity= {rates[0]}\nspecificity= {rates[1]}\n" in stdout
 
 
 def test_evaluate_missing_label_exits_3(corpus, store_path, tmp_path, capsys):
@@ -608,6 +641,21 @@ def test_evaluate_score_file_needs_polarity(corpus, store_path, tmp_path, capsys
     )
     assert code == 2
     assert "--polarity" in stderr
+
+
+def test_evaluate_store_refuses_higher_polarity(corpus, store_path, tmp_path, capsys):
+    # a store scores pairs by distance, so only "lower" reads it right
+    _, labels = corpus
+    out = tmp_path / "eval"
+    code, stdout, stderr = run(
+        capsys, "evaluate", store_path, out, "--labels", labels, "--polarity", "higher"
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert stderr.splitlines()[-1].startswith("error: --polarity higher does not apply")
+    code, stdout, _ = run(
+        capsys, "evaluate", store_path, out, "--labels", labels, "--polarity", "lower"
+    )
+    assert code == 0 and "polarity= lower" in stdout
 
 
 def test_evaluate_external_scores_higher_polarity(corpus, store_path, tmp_path, capsys):

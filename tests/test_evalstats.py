@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,12 @@ from hypothesis import strategies as st
 
 from comogphog import evalstats
 from comogphog.evalstats import (
-    ConfusionCounts,
     DegenerateRangeError,
     MissingLabelError,
     Polarity,
     SingleClassError,
-    UndefinedRateError,
+    _mcc_column,
     auc,
-    default_thresholds,
-    mcc,
     mcc_curve,
     pair_count,
     pairs_from_indices,
@@ -27,7 +25,6 @@ from comogphog.evalstats import (
     roc_curve,
     sample_pair_indices,
     score_pairs,
-    sensitivity_specificity,
     write_curve_csv,
 )
 from comogphog.featuredb import FeatureStore
@@ -35,10 +32,12 @@ from comogphog.features import FEATURE_LENGTH, FeatureVector
 from comogphog.scoring import score
 from comogphog.structure_io import parse_scop_label
 from oracles import (
+    ConfusionCounts,
     adversarial_sets,
     assert_same_pairs,
     confusion_at_threshold,
     family_match,
+    mcc,
     pair_from_index,
     pair_rows,
     pairs_from,
@@ -105,34 +104,68 @@ def test_confusion_matches_enumeration_oracle():
             assert (got.tp, got.tn, got.fp, got.fn) == (tp, tn, fp, fn)
 
 
-# --- mcc ---
+# --- mcc (mcc_curve's column, checked table by table) ---
+
+
+def pairs_with_table(tp, tn, fp, fn):
+    """Pairs whose table at threshold 0.5 (LOWER) is exactly tp, tn, fp, fn."""
+    scores = [0.0] * (tp + fp) + [1.0] * (fn + tn)
+    matches = [True] * tp + [False] * fp + [True] * fn + [False] * tn
+    return pairs_from(scores, matches)
+
+
+def curve_mcc(tp, tn, fp, fn):
+    """mcc_curve's value for one table, read at the one threshold that gives it."""
+    _, values, _, _ = mcc_curve(pairs_with_table(tp, tn, fp, fn), LOWER, [0.5])
+    return float(values[0])
+
+
+def column_mcc(tp, tn, fp, fn):
+    """The column helper mcc_curve calls, for one table."""
+    return float(_mcc_column(tp, fp, tp + tn + fp + fn, tp + fn))
 
 
 def test_mcc_examples():
-    assert mcc(ConfusionCounts(tp=1, tn=1, fp=0, fn=0)) == 1.0
-    assert mcc(ConfusionCounts(tp=1, tn=1, fp=1, fn=1)) == 0.0
-    got = mcc(ConfusionCounts(tp=2, tn=3, fp=1, fn=1))
+    assert curve_mcc(tp=1, tn=1, fp=0, fn=0) == 1.0
+    assert curve_mcc(tp=1, tn=1, fp=1, fn=1) == 0.0
+    got = curve_mcc(tp=2, tn=3, fp=1, fn=1)
     assert got == pytest.approx(5.0 / 12.0, abs=1e-15)
 
 
 def test_mcc_degenerate_margins_are_zero():
-    assert mcc(ConfusionCounts(tp=0, tn=5, fp=0, fn=3)) == 0.0
-    assert mcc(ConfusionCounts(tp=0, tn=0, fp=0, fn=0)) == 0.0
+    assert curve_mcc(tp=0, tn=5, fp=0, fn=3) == 0.0
+    # an empty table has no pairs to sweep, only a column entry
+    assert column_mcc(tp=0, tn=0, fp=0, fn=0) == 0.0
 
 
 @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
 def test_mcc_bounded(tp, tn, fp, fn):
-    v = mcc(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
+    v = column_mcc(tp=tp, tn=tn, fp=fp, fn=fn)
     assert -1.0 <= v <= 1.0
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_mcc_sign_antisymmetry(tp, tn, fp, fn):
-    base = mcc(ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn))
-    labels_flipped = mcc(ConfusionCounts(tp=fp, tn=fn, fp=tp, fn=tn))
-    preds_flipped = mcc(ConfusionCounts(tp=fn, tn=fp, fp=tn, fn=tp))
+    base = column_mcc(tp=tp, tn=tn, fp=fp, fn=fn)
+    labels_flipped = column_mcc(tp=fp, tn=fn, fp=tp, fn=tn)
+    preds_flipped = column_mcc(tp=fn, tn=fp, fp=tn, fn=tp)
     assert labels_flipped == pytest.approx(-base, abs=1e-15)
     assert preds_flipped == pytest.approx(-base, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2_000_000, 85_000_000, 3_000_000_000])
+def test_mcc_column_matches_scalar_oracle_at_large_counts(n):
+    # the int64 numerator and the float64 product give the oracle's bits
+    rng = np.random.default_rng(n % 1000)
+    m = n // 37
+    tp = rng.integers(0, m + 1, size=2000)
+    fp = rng.integers(0, n - m + 1, size=2000)
+    tp[:3], fp[:3] = [0, m, m], [0, n - m, 0]
+    want = [
+        mcc(ConfusionCounts(tp=a, tn=n - m - b, fp=b, fn=m - a))
+        for a, b in zip(tp.tolist(), fp.tolist())
+    ]
+    assert _mcc_column(tp, fp, n, m).tobytes() == np.array(want).tobytes()
 
 
 # --- mcc curve ---
@@ -162,8 +195,18 @@ def test_mcc_curve_separable_reaches_one():
 def test_mcc_curve_no_signal_stays_small():
     rng = np.random.default_rng(2026)
     pairs = random_pairs(rng, 10_000, match_rate=0.3)
-    _, values, _, _ = mcc_curve(pairs, LOWER, default_thresholds(pairs, 200))
+    _, values, _, _ = mcc_curve(pairs, LOWER, pvalue_curve(pairs, 200)[0])
     assert max(abs(values)) < 0.2
+
+
+@pytest.mark.parametrize("match", [True, False])
+def test_mcc_curve_single_class_is_zero_without_warnings(match):
+    pairs = pairs_from([0.1, 0.2, 0.3], [match] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pol in (LOWER, HIGHER):
+            _, values, _, _ = mcc_curve(pairs, pol, [0.0, 0.2, 0.5])
+            assert values.tolist() == [0.0, 0.0, 0.0]
 
 
 # --- pvalue curve ---
@@ -206,12 +249,11 @@ def test_pvalue_law_of_total_probability():
     assert weighted == pytest.approx(np.mean(pairs.match.tolist()), abs=1e-12)
 
 
-@pytest.mark.parametrize("grid", [pvalue_curve, default_thresholds])
-def test_bin_grid_refuses_a_range_that_overflows(grid):
+def test_pvalue_refuses_a_range_that_overflows():
     # both scores are finite, but max - min is not
     pairs = pairs_from([-1e308, 0.0, 1e308], [1, 0, 1])
     with pytest.raises(ValueError, match=r"score range \[-1e\+308, 1e\+308\]"):
-        grid(pairs, 10)
+        pvalue_curve(pairs, 10)
 
 
 def test_pvalue_extreme_scores_land_in_end_bins():
@@ -298,22 +340,6 @@ def test_auc_invariant_under_monotone_transform():
 
 def test_auc_trapezoid_hand_case():
     assert auc([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]) == 0.75
-
-
-# --- rates ---
-
-
-def test_sensitivity_specificity_examples():
-    assert sensitivity_specificity(ConfusionCounts(tp=3, fn=1, tn=5, fp=0)) == (0.75, 1.0)
-    assert sensitivity_specificity(ConfusionCounts(tp=4, fn=0, tn=6, fp=0)) == (1.0, 1.0)
-    assert sensitivity_specificity(ConfusionCounts(tp=2, fn=2, tn=1, fp=3)) == (0.5, 0.25)
-
-
-def test_sensitivity_specificity_undefined():
-    with pytest.raises(UndefinedRateError):
-        sensitivity_specificity(ConfusionCounts(tp=0, fn=0, tn=1, fp=1))
-    with pytest.raises(UndefinedRateError):
-        sensitivity_specificity(ConfusionCounts(tp=1, fn=1, tn=0, fp=0))
 
 
 # --- pair generation and store scoring ---

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comogphog import featuredb
+from comogphog.cli import main
 from comogphog.featuredb import (
     BadMagicError,
     CorruptEntryError,
@@ -489,6 +491,45 @@ def test_damaged_v2_loads_or_raises_documented_error(tmp_path):
         path.write_bytes(_damage(STORE_V2.read_bytes(), damage))
         with pytest.raises(CorruptEntryError):
             load_store(path)
+
+
+# --- loading without preadv ---
+
+
+def test_store_loaded_without_preadv_answers_the_same(tmp_path, monkeypatch, capsys):
+    # where os.preadv is missing (Windows) a v3 store is read whole at load
+    rng = np.random.default_rng(21)
+    centers = rng.random((12, FEATURE_LENGTH))
+    ids = [f"e{k:03d}" for k in range(240)]
+    matrix = centers[np.arange(240) % 12] + 0.05 * rng.random((240, FEATURE_LENGTH))
+    path = tmp_path / "s.cmg"
+    save_store(FeatureStore(ids=ids, matrix=matrix), path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{sid}\tc.1.1.{k % 12 + 1}\n" for k, sid in enumerate(ids)))
+    queries = [matrix[5], matrix[100] + 1e-3, rng.random(FEATURE_LENGTH)]
+
+    def answers(out):
+        store = load_store(path)
+        file_backed = store._file is not None
+        hits = [search(store, q, 10) for q in queries]
+        del store
+        assert main(["evaluate", str(path), str(out), "--labels", str(labels)]) == 0
+        names = ("pvalue.csv", "mcc.csv", "roc.csv", "summary.txt")
+        return file_backed, hits, {f: (out / f).read_bytes() for f in names}
+
+    with_preadv = answers(tmp_path / "with")
+    monkeypatch.setattr(featuredb, "_PREADV", False)
+    without = answers(tmp_path / "without")
+    capsys.readouterr()
+    assert (with_preadv[0], without[0]) == (True, False)
+    for (ids_a, d_a), (ids_b, d_b) in zip(with_preadv[1], without[1]):
+        assert ids_a == ids_b and d_a.tobytes() == d_b.tobytes()
+    assert with_preadv[2] == without[2]
+
+    cut = tmp_path / "cut.cmg"
+    cut.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CorruptEntryError):
+        load_store(cut)
 
 
 # --- atomic save ---

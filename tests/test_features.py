@@ -18,8 +18,10 @@ from comogphog.features import (
     phog_cells,
     quantize_orientations,
 )
-from comogphog.imageops import GradientField, gradient_field
+from comogphog.distmat import distance_matrix, to_gray
+from comogphog.imageops import GradientField, gradient_field, normalize_size
 from comogphog.synthetic import helix_trace, random_rotation, random_walk_trace, transform
+from oracles import phog_by_cell
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_helix10.json"
@@ -184,6 +186,36 @@ def test_phog_matches_per_cell_oracle_full_size():
     got = phog(f)
     want = phog_oracle(f)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def pipeline_field(trace, image_size):
+    """The gradient field extract_features builds for ``trace``."""
+    img = normalize_size(to_gray(distance_matrix(trace)), image_size)
+    return gradient_field((img + img.T) / 2.0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FeatureConfig(),
+        FeatureConfig(phog_bins=8, phog_levels=2, image_size=64),
+        FeatureConfig(comograd_bins=8, phog_levels=4),
+    ],
+    ids=["default", "bins8-levels2-size64", "comograd8-levels4"],
+)
+def test_blocks_match_enumeration_and_per_cell_oracles_by_bytes(config):
+    lengths = (20, 57, 150, 333)
+    traces = [helix_trace(n, f"h{n}", jitter=0.3, seed=n) for n in lengths]
+    traces += [random_walk_trace(n, f"w{n}", seed=n) for n in lengths]
+    for trace in traces:
+        field = pipeline_field(trace, config.image_size)
+        quant = quantize_orientations(field, config.comograd_bins)
+        want = comograd_oracle(quant.bin, quant.valid, config.comograd_bins)
+        assert comograd(quant).tobytes() == want.tobytes()
+        for length in (config.phog_length, None):
+            got = phog(field, config.phog_bins, config.phog_levels, length)
+            want = phog_by_cell(field, config.phog_bins, config.phog_levels, length)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_phog_hierarchical_consistency():
