@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comogphog import evalstats
+from comogphog.cli import _write_evaluation
 from comogphog.evalstats import (
     DegenerateRangeError,
     MissingLabelError,
@@ -340,6 +341,19 @@ def test_auc_invariant_under_monotone_transform():
 
 def test_auc_trapezoid_hand_case():
     assert auc([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]) == 0.75
+
+
+def test_sensitivity_specificity_undefined(tmp_path, capsys):
+    # no matches, then no non-matches: the evaluate report has no rate at its peak
+    for name, table in (("no_match", (0, 1, 1, 0)), ("all_match", (1, 0, 0, 1))):
+        out = tmp_path / name
+        out.mkdir()
+        code = _write_evaluation(pairs_with_table(*table), LOWER, 4, "family", out)
+        assert code == 3
+        summary = (out / "summary.txt").read_text()
+        assert "sensitivity= undefined\nspecificity= undefined\n" in summary
+        assert not (out / "roc.csv").exists()
+    capsys.readouterr()
 
 
 # --- pair generation and store scoring ---
