@@ -31,10 +31,16 @@ COMOGRAD_LENGTH = COMOGRAD_BINS * COMOGRAD_BINS  # 256
 PHOG_LENGTH = 768  # padded pyramid block; see phog()
 FEATURE_LENGTH = COMOGRAD_LENGTH + PHOG_LENGTH  # 1024
 
-# Longest trace extract_features accepts.  Extraction holds the n x n
-# distance image plus two (p, n) resampling arrays, p the next power of
-# two >= n: about (n*n + 2*p*n) * 8 bytes, some 400 MB at this cap.
+# Longest trace extract_features accepts.  Extraction peaks while
+# distance_matrix and to_gray hold two n x n float64 images: about
+# 2*n*n*8 bytes, some 270 MB at this cap.  normalize_size's tiles add
+# under 20 MB.
 MAX_RESIDUES = 4096
+
+# Largest descriptor FeatureConfig accepts: 8 MB per vector.  It also
+# caps image_size at MAX_RESIDUES pixels, where extraction peaks near
+# 1.1 GB.
+_MAX_LENGTH = 1 << 20
 
 # gradient magnitudes at or below this are treated as orientation-free
 MAGNITUDE_EPS = 1e-12
@@ -180,11 +186,16 @@ class FeatureConfig:
             raise ValueError(f"phog_levels must be >= 0, got {self.phog_levels}")
         if self.image_size < 2 or self.image_size & (self.image_size - 1):
             raise ValueError(f"image_size must be a power of two, got {self.image_size}")
+        # upper bounds keep extraction's memory bounded (see MAX_RESIDUES)
+        if self.image_size > MAX_RESIDUES:
+            raise ValueError(f"image_size must be <= {MAX_RESIDUES}, got {self.image_size}")
         # compare bit lengths before shifting: levels may come from a file
         if self.phog_levels >= self.image_size.bit_length():
             raise ValueError(
                 f"image_size {self.image_size} not divisible by 2^{self.phog_levels}"
             )
+        if self.length > _MAX_LENGTH:
+            raise ValueError(f"descriptor length must be <= {_MAX_LENGTH}, got {self.length}")
 
     @property
     def phog_length(self) -> int:

@@ -4,7 +4,9 @@ Distance-matrix images come in at the protein's own size, so everything
 downstream funnels through :func:`normalize_size`: small images are
 upsampled straight to the working size with cubic convolution, large ones
 are first taken to the next power of two and then halved with the Haar
-low-low filter until they land on the target.
+low-low filter until they land on the target.  The resampling runs tile by
+tile over the non-zero bands of the cubic weights, so neither the
+upsampled image nor a dense weight matrix is ever built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 WORKING_SIZE = 128
 
-# upsampled rows per block of normalize_size's second resampling product
+# upsampled rows (and columns) per band of normalize_size's tiles
 _BLOCK_ROWS = 256
 
 
@@ -40,27 +42,35 @@ def cubic_kernel(x, a: float = -0.5) -> np.ndarray:
     return np.where(x <= 1.0, near, np.where(x < 2.0, far, 0.0))
 
 
-def _resample_weights(n_src: int, n_dst: int) -> np.ndarray:
-    """(n_dst, n_src) matrix of 1-D cubic convolution weights.
+def _weight_band(n_src: int, n_dst: int, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    """Rows lo:hi of the (n_dst, n_src) cubic weights, cut to their support.
 
-    Output samples sit on half-pixel centers, source index
+    Returns ``(c0, c1, w)``: the rows touch only source samples c0:c1, and
+    ``w`` holds their weights, shape (hi - lo, c1 - c0).  Output samples
+    sit on half-pixel centers, source index
     s = (i + 0.5) * n_src / n_dst - 0.5, so equal sizes give an exact
     identity.  The four taps around s are clipped into range, which
     replicates edge samples.
 
-    All rows are built at once: taps k = -1, 0, 1, 2 are added to the
-    matrix one after another, so an edge column that several clipped taps
-    land on accumulates them in the same order as a per-row ``np.add.at``
-    would, and the matrix is the same bit for bit.
+    Taps k = -1, 0, 1, 2 are added one after another, so an edge column
+    that several clipped taps land on accumulates them in the same order
+    as a per-row ``np.add.at`` would: every band holds the same bytes as
+    the matching slice of the whole weight matrix, which is zero outside
+    the band.
     """
-    w = np.zeros((n_dst, n_src))
-    rows = np.arange(n_dst)
+    rows = np.arange(lo, hi)
     s = (rows + 0.5) * (n_src / n_dst) - 0.5
     i0 = np.floor(s).astype(np.intp)
     t = s - i0
+    # i0 never falls as the rows go on, so the first row's tap -1 and the
+    # last row's tap 2 bound the band
+    c0 = max(int(i0[0]) - 1, 0)
+    c1 = min(int(i0[-1]) + 3, n_src)
+    w = np.zeros((hi - lo, c1 - c0))
+    at = np.arange(hi - lo)
     for k in (-1, 0, 1, 2):
-        w[rows, np.clip(i0 + k, 0, n_src - 1)] += cubic_kernel(t - k)
-    return w
+        w[at, np.clip(i0 + k, 0, n_src - 1) - c0] += cubic_kernel(t - k)
+    return c0, c1, w
 
 
 def haar_downsample(img: np.ndarray) -> np.ndarray:
@@ -86,12 +96,14 @@ def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     then Haar-halved down to the target; for n < size that is one direct
     bicubic resize.  ``size`` must be a power of two.
 
-    The p x p image is never built.  The first resampling product
-    ``w @ img`` is computed whole (row-blocking it changes low bits at
-    some lengths); the second, ``@ w.T``, runs over blocks of whole 2x2
-    Haar groups, each clamped and halved on its own, so the result has the
-    same bytes as ``haar^k(bicubic_resize(img, p, p))`` with peak memory
-    (n*n + 2*p*n)*8 bytes counting the input.
+    The p x p image is never built.  Both resampling products run tile by
+    tile over bands of b = max(256, p / size) upsampled rows or columns,
+    each holding whole Haar groups, and each band multiplies only the
+    source samples its weights touch (about b * n / p + 3 of them).  A
+    tile is clamped and Haar-halved on its own, so the result equals
+    ``haar^k(bicubic_resize(img, p, p))`` up to the order in which BLAS
+    sums each product; for p <= 256 there is one tile and the same bytes.
+    Peak memory beyond the input is about (2 * b * n + b * b) * 8 bytes.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
@@ -107,17 +119,22 @@ def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
         while out.shape[0] > size:
             out = haar_downsample(out)
         return out
-    f = p // size  # upsampled rows per output row
-    w = _resample_weights(n, p)
-    half = w @ img
+    f = p // size  # upsampled pixels per output pixel
+    # powers of two, so p is a whole number of bands and a band of Haar groups
+    b = min(max(_BLOCK_ROWS, f), p)
+    g = b // f  # output pixels per band
+    # the image is square, so rows and columns share one set of bands
+    bands = [_weight_band(n, p, lo, lo + b) for lo in range(0, p, b)]
     out = np.empty((size, size))
-    rows = max(1, _BLOCK_ROWS // f)
-    for r0 in range(0, size, rows):
-        blk = half[r0 * f : (r0 + rows) * f] @ w.T
-        np.clip(blk, 0.0, 1.0, out=blk)
-        while blk.shape[1] > size:
-            blk = haar_downsample(blk)
-        out[r0 : r0 + rows] = blk
+    half = np.empty((b, n))
+    for i, (r0, r1, wr) in enumerate(bands):
+        np.matmul(wr, img[r0:r1], out=half)
+        for j, (c0, c1, wc) in enumerate(bands):
+            tile = half[:, c0:c1] @ wc.T
+            np.clip(tile, 0.0, 1.0, out=tile)
+            while tile.shape[0] > g:
+                tile = haar_downsample(tile)
+            out[i * g : (i + 1) * g, j * g : (j + 1) * g] = tile
     return out
 
 

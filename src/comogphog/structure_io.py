@@ -135,8 +135,10 @@ def read_label_table(text: str) -> dict[str, ScopLabel]:
     """Parse ``sid,sccs`` (comma- or tab-separated) lines into a label map.
 
     Blank lines and ``#`` comments are skipped, and a single leading header
-    line is tolerated.  Later rows that fail to parse raise
-    :class:`BadSccsError`.  Extra columns are ignored.
+    line is tolerated: a first row with one field, or whose second field
+    has no ``.`` (a column name, never an sccs).  Every other row that
+    fails to parse raises :class:`BadSccsError`.  Extra columns are
+    ignored.
     """
     labels: dict[str, ScopLabel] = {}
     first_data = True
@@ -154,7 +156,7 @@ def read_label_table(text: str) -> dict[str, ScopLabel]:
         try:
             label = parse_scop_label(parts[0], parts[1])
         except BadSccsError:
-            if first_data:
+            if first_data and "." not in parts[1]:
                 first_data = False
                 continue
             raise

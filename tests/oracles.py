@@ -11,7 +11,31 @@ import numpy as np
 
 from comogphog.evalstats import PairScores, Polarity
 from comogphog.features import quantize_orientations
-from comogphog.imageops import _resample_weights
+from comogphog.imageops import cubic_kernel
+
+
+def resample_weights_loop(n_src, n_dst):
+    """The dense (n_dst, n_src) cubic weights, one ``np.add.at`` per row.
+
+    Output samples sit on half-pixel centers, source index
+    s = (i + 0.5) * n_src / n_dst - 0.5; the four taps around s are
+    clipped into range, which replicates edge samples.
+    """
+    w = np.zeros((n_dst, n_src))
+    scale = n_src / n_dst
+    for i in range(n_dst):
+        s = (i + 0.5) * scale - 0.5
+        i0 = int(np.floor(s))
+        t = s - i0
+        taps = np.arange(i0 - 1, i0 + 3)
+        weights = cubic_kernel(t - (taps - i0))
+        np.add.at(w[i], np.clip(taps, 0, n_src - 1), weights)
+    return w
+
+
+def haar_expression(img):
+    """One Haar level as the plain four-term expression."""
+    return (img[0::2, 0::2] + img[0::2, 1::2] + img[1::2, 0::2] + img[1::2, 1::2]) / 4.0
 
 
 def bicubic_resize(img, out_h, out_w, clamp=True):
@@ -22,14 +46,45 @@ def bicubic_resize(img, out_h, out_w, clamp=True):
     result into [0, 1] (cubic interpolation can overshoot).
     """
     img = np.asarray(img, dtype=np.float64)
-    wr = _resample_weights(img.shape[0], out_h)
+    wr = resample_weights_loop(img.shape[0], out_h)
     if (img.shape[1], out_w) == (img.shape[0], out_h):
         wc = wr
     else:
-        wc = _resample_weights(img.shape[1], out_w)
+        wc = resample_weights_loop(img.shape[1], out_w)
     out = wr @ img @ wc.T
     if clamp:
         np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def normalize_size_tiled(img, size=128, block=256):
+    """``normalize_size`` tile by tile, with bands cut from the dense weights.
+
+    The p x p upsample is cut into bands of b = max(block, p / size) rows
+    and columns.  Each band keeps only the source columns where its rows of
+    the dense loop matrix are non-zero; tile (i, j) is
+    ``(w_i @ img[band i]) @ w_j.T`` over those columns, clamped and halved
+    to (b / f) x (b / f) pixels, f = p / size.
+    """
+    n = img.shape[0]
+    p = max(size, 1 << (n - 1).bit_length())
+    f = p // size
+    b = min(max(block, f), p)
+    w = resample_weights_loop(n, p)
+    bands = []
+    for lo in range(0, p, b):
+        support = np.flatnonzero(w[lo : lo + b].any(axis=0))
+        c0, c1 = support[0], support[-1] + 1
+        bands.append((c0, c1, np.ascontiguousarray(w[lo : lo + b, c0:c1])))
+    g = b // f
+    out = np.empty((size, size))
+    for i, (r0, r1, wr) in enumerate(bands):
+        half = wr @ img[r0:r1]
+        for j, (c0, c1, wc) in enumerate(bands):
+            tile = np.clip(half[:, c0:c1] @ wc.T, 0.0, 1.0)
+            while tile.shape[0] > g:
+                tile = haar_expression(tile)
+            out[i * g : (i + 1) * g, j * g : (j + 1) * g] = tile
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -622,6 +623,20 @@ def test_evaluate_summary_rates_hand_cases(tmp_path, capsys):
         assert f"sensitivity= {rates[0]}\nspecificity= {rates[1]}\n" in stdout
 
 
+def test_evaluate_bad_first_label_row_exits_1(corpus, store_path, tmp_path, capsys):
+    # family 0 does not parse, but a first row whose classification has
+    # dots is data, not a header, so it is named rather than dropped
+    labels = tmp_path / "labels.tsv"
+    labels.write_text(
+        "hel0\ta.1.1.0\n" + "".join(f"{sid}\ta.1.1.1\n" for sid in HELIX_IDS[1:] + EXT_IDS)
+    )
+    out = tmp_path / "eval"
+    code, stdout, stderr = run(capsys, "evaluate", store_path, out, "--labels", labels)
+    assert code == 1 and stdout == ""
+    assert stderr.endswith("error: 'hel0': numeric levels must be positive in 'a.1.1.0'\n")
+    assert not out.exists()
+
+
 def test_evaluate_missing_label_exits_3(corpus, store_path, tmp_path, capsys):
     labels = tmp_path / "short.tsv"
     labels.write_text("".join(f"{sid}\ta.1.1.1\n" for sid in HELIX_IDS + EXT_IDS[:3]))
@@ -835,6 +850,11 @@ def test_evaluate_mistyped_first_score_row_exits_1(corpus, tmp_path, capsys):
         "evaluate_eval_bins_1",
         "evaluate_out_dir_is_a_file",
         "extract_out_dir_missing",
+        # geometry that cannot fit in memory: a 2**16-pixel image is 32 GiB,
+        # and 100000 co-occurrence bins are 10**10 values
+        "score_image_size_65536",
+        "score_bins_comograd_100000",
+        "search_store_header_image_size_65536",
     ],
 )
 def test_failures_exit_with_one_error_line(corpus, store_path, tmp_path, capsys, case):
@@ -847,7 +867,21 @@ def test_failures_exit_with_one_error_line(corpus, store_path, tmp_path, capsys,
     broken.write_text('{"image_size": ')
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    huge_image = tmp_path / "huge_image.json"
+    huge_image.write_text('{"image_size": 65536}')
+    many_bins = tmp_path / "many_bins.json"
+    many_bins.write_text('{"bins_comograd": 100000}')
+    # the vector length does not depend on image_size, so this header
+    # frames a valid store
+    blob = bytearray(store_path.read_bytes())
+    assert struct.unpack_from("<I", blob, 24) == (128,)  # image_size
+    struct.pack_into("<I", blob, 24, 1 << 16)
+    huge_store = tmp_path / "huge.cmg"
+    huge_store.write_bytes(bytes(blob))
     expected, argv = {
+        "score_image_size_65536": (1, ["score", hel0, hel0, "--config", huge_image]),
+        "score_bins_comograd_100000": (1, ["score", hel0, hel0, "--config", many_bins]),
+        "search_store_header_image_size_65536": (1, ["search", huge_store, hel0]),
         "score_unknown_config_key": (1, ["score", hel0, hel0, "--config", unknown]),
         "search_invalid_config_json": (1, ["search", store_path, hel0, "--config", broken]),
         "search_missing_query": (1, ["search", store_path, tmp_path / "nope.pdb"]),

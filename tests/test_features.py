@@ -341,8 +341,26 @@ def test_config_keyword_defaults_match_explicit_default():
         {"phog_levels": 2**32 - 1},
         {"image_size": 128.0},
         {"comograd_bins": True},
+        # geometry that cannot fit in memory
+        {"image_size": 2 * MAX_RESIDUES},
+        {"image_size": 2**31},
+        {"comograd_bins": 1024},  # 1024**2 + 768 values
+        {"phog_bins": 100_000_000},
+        {"image_size": 4096, "phog_levels": 10, "phog_bins": 1},  # 1,398,101 cells
     ],
 )
 def test_config_validate_rejects(bad):
     with pytest.raises(ValueError):
         FeatureConfig(**bad).validate()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FeatureConfig(image_size=MAX_RESIDUES),
+        FeatureConfig(comograd_bins=1023),  # 1,047,297 values
+        FeatureConfig(image_size=4096, phog_levels=9, phog_bins=2),  # 699,306 values
+    ],
+)
+def test_config_validate_upper_bounds_are_inclusive(config):
+    config.validate()

@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 
 from comogphog.distmat import distance_matrix, to_gray
 from comogphog.imageops import (
+    _BLOCK_ROWS,
     OddDimensionError,
-    _resample_weights,
+    _weight_band,
     cubic_kernel,
     gradient_field,
     haar_downsample,
     normalize_size,
 )
 from comogphog.synthetic import random_walk_trace
-from oracles import bicubic_resize
+from oracles import (
+    bicubic_resize,
+    haar_expression,
+    normalize_size_tiled,
+    resample_weights_loop,
+)
 
 
 # --- standalone cubic-convolution oracle (scalar, per output pixel) ---
@@ -50,20 +56,6 @@ def resize_scalar(img, out_h, out_w):
                     acc += wy * wx * img[ry, rx]
             out[i, j] = acc
     return out
-
-
-def resample_weights_loop(n_src, n_dst):
-    """Row-by-row weights with one np.add.at per output row (the reference)."""
-    w = np.zeros((n_dst, n_src))
-    scale = n_src / n_dst
-    for i in range(n_dst):
-        s = (i + 0.5) * scale - 0.5
-        i0 = int(np.floor(s))
-        t = s - i0
-        taps = np.arange(i0 - 1, i0 + 3)
-        weights = cubic_kernel(t - (taps - i0))
-        np.add.at(w[i], np.clip(taps, 0, n_src - 1), weights)
-    return w
 
 
 def test_kernel_shape():
@@ -128,24 +120,31 @@ def test_resize_commutes_with_scaling_before_clamp(k):
         (37, 128),  # upsampling, the domain-length path
         (150, 256),  # upsampling to the next power of two
         (600, 1024),
-        (200, 7),  # downsampling
-        (3, 2),
+        (930, 1024),
+        (2180, 4096),  # the longest benchmark chain
         (5, 5),  # equal sizes: identity
         (128, 128),
         # one source sample: all four taps clip onto column 0, and the order
         # in which they are added shows in the low bits
         (1, 9),
         (1, 1),
-        (4, 1),  # one output sample
         (6, 24),  # first and last rows fold out-of-range taps onto edge columns
         (2, 9),  # every row clips at both edges
     ],
 )
 def test_resample_weights_match_row_loop_bytes(n_src, n_dst):
-    got = _resample_weights(n_src, n_dst)
+    # every band of rows, at normalize_size's band height and at a height
+    # that cuts the rows unevenly, holds the loop matrix's bytes over its
+    # columns, and the loop matrix is zero outside them
     want = resample_weights_loop(n_src, n_dst)
-    assert got.shape == want.shape == (n_dst, n_src)
-    assert got.tobytes() == want.tobytes()
+    for height in (min(_BLOCK_ROWS, n_dst), 3):
+        for lo in range(0, n_dst, height):
+            hi = min(lo + height, n_dst)
+            c0, c1, w = _weight_band(n_src, n_dst, lo, hi)
+            assert 0 <= c0 < c1 <= n_src
+            assert w.shape == (hi - lo, c1 - c0)
+            assert w.tobytes() == want[lo:hi, c0:c1].tobytes()
+            assert not want[lo:hi, :c0].any() and not want[lo:hi, c1:].any()
 
 
 @pytest.mark.parametrize(
@@ -173,11 +172,6 @@ def test_resize_peak_memory_600_to_1024():
         tracemalloc.stop()
     assert out.shape == (p, p)
     assert peak <= 2.5 * p * p * 8
-
-
-def haar_expression(img):
-    """One Haar level as the plain four-term expression (the reference)."""
-    return (img[0::2, 0::2] + img[0::2, 1::2] + img[1::2, 0::2] + img[1::2, 1::2]) / 4.0
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (6, 4), (64, 64), (130, 258)])
@@ -259,9 +253,12 @@ def random_symmetric_image(n):
     return (a + a.T) / 2.0
 
 
-# At 128 pixels, lengths on both sides of 256 and 2048, and 262, where
-# computing the first resampling product in 256-row blocks changes low bits
-# of the walk image; then other image sizes, with inputs below and above.
+# At 128 pixels, lengths on both sides of 256 and 2048, and 262; then
+# other image sizes, with inputs below and above.  Up to p = 256 upsampled
+# pixels there is one tile, so the output has the dense path's bytes.
+# Above it the tiles sum each product over fewer source samples, which may
+# change low bits, so the bytes are pinned by the tile-wise oracle and the
+# dense path bounds the difference.
 @pytest.mark.parametrize("make", [walk_image, random_symmetric_image])
 @pytest.mark.parametrize(
     "size,n",
@@ -272,12 +269,17 @@ def random_symmetric_image(n):
 def test_normalize_size_equals_dense_upsample_then_haar_bytes(make, size, n):
     img = make(n)
     got = normalize_size(img, size)
+    dense = normalize_size_dense(img, size)
     assert got.shape == (size, size)
-    assert got.tobytes() == normalize_size_dense(img, size).tobytes()
+    if max(size, 1 << (n - 1).bit_length()) <= 256:
+        assert got.tobytes() == dense.tobytes()
+    else:
+        assert got.tobytes() == normalize_size_tiled(img, size).tobytes()
+        assert np.abs(got - dense).max() <= 1e-15
 
 
 def test_normalize_size_peak_memory_2180():
-    n, p = 2180, 4096
+    n, p, size = 2180, 4096, 128
     img = random_symmetric_image(n)
     tracemalloc.start()
     try:
@@ -286,10 +288,14 @@ def test_normalize_size_peak_memory_2180():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (128, 128)
-    # the weights and the first product are (p, n) each; the (p, p)
-    # upsample alone would be another 1.9 * p * n * 8 bytes
-    assert peak <= 2.3 * p * n * 8
+    assert out.shape == (size, size)
+    # p / b bands of b rows, each over at most b * n / p + 4 source samples;
+    # one row band times the image (b, n); one (b, b) tile with its Haar
+    # halvings, less than two tiles; the output.  About 10 MB here, where
+    # one (p, n) array alone is 71 MB.
+    b = _BLOCK_ROWS
+    bands = p * (b * n // p + 4)
+    assert peak <= (bands + b * n + 2 * b * b + size * size) * 8
 
 
 def test_normalize_size_rejects_non_square():

@@ -200,3 +200,11 @@ def test_read_label_table_headerless():
 def test_read_label_table_bad_row_after_data():
     with pytest.raises(BadSccsError):
         read_label_table("d1,a.1.1.1\nd2,broken\n")
+
+
+@pytest.mark.parametrize("first", ["d0,a.1.1.0", "d0,a.x.1.1", "d0,.", "d0,a.1.1"])
+def test_read_label_table_bad_first_row_with_dots_is_data(first):
+    # a header's second field is a column name; one with a dot is a
+    # classification, and a bad one is named rather than skipped
+    with pytest.raises(BadSccsError, match=repr(first.split(",")[1])):
+        read_label_table(first + "\nd1,a.1.1.1\n")
