@@ -169,14 +169,20 @@ def cmd_evaluate(args) -> int:
 
     if store is not None:
         polarity = Polarity.LOWER_IS_SIMILAR
-        pairs = evalstats.score_pairs(
-            store,
-            labels,
-            level=args.level,
-            sample=args.sample,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        if args.sample is None:
+            # scores that keep the report's bytes, not exact distances
+            pairs = evalstats._report_pairs(
+                store, labels, args.level, eval_bins, jobs=args.jobs
+            )
+        else:
+            pairs = evalstats.score_pairs(
+                store,
+                labels,
+                level=args.level,
+                sample=args.sample,
+                seed=args.seed,
+                jobs=args.jobs,
+            )
         del store  # drop the rows before the curves are built
     else:
         if not args.polarity:
@@ -282,7 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--eval-bins", type=int, default=None, help="score bins / threshold grid size")
     pv.add_argument("--sample", type=int, help="evaluate only this many sampled pairs")
     pv.add_argument("--seed", type=int, default=0, help="sampling seed")
-    pv.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    pv.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for exact scoring of at least 600,000 pairs: --sample, "
+        "or all pairs of a store that the filter gives to the exact kernel",
+    )
     pv.add_argument("--config", help="JSON file overriding pipeline parameters")
     pv.set_defaults(func=cmd_evaluate)
     return p

@@ -44,7 +44,6 @@ import os
 import secrets
 import struct
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -617,6 +616,8 @@ def ingest_dir(
         seen.add(sid)
         tasks.append((p, sid))
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_extract_file, str(p), config) for p, _ in tasks]
             results = [f.result() for f in futures]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from comogphog import evalstats
 from comogphog.cli import main
 from comogphog.evalstats import (
     Polarity,
@@ -1012,3 +1013,68 @@ def test_module_invocation(corpus):
     )
     assert proc.returncode == 0
     assert proc.stdout == "d= 0.000000000\n"
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    # the process pool's module costs 11-17 ms in a fresh process; only
+    # extract --jobs and evaluate --jobs import it, when they start a pool
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, comogphog.cli; print('concurrent.futures.process' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# --- evaluate's Gram filter: bytes that do not depend on threads or jobs ---
+
+
+def _report(out):
+    return {f: (out / f).read_bytes() for f in ("pvalue.csv", "mcc.csv", "roc.csv", "summary.txt")}
+
+
+def test_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 400 x 1024 is large enough that OpenBLAS splits the Gram product
+    # over two threads; the filter's bound holds in any summation order
+    rng = np.random.default_rng(70)
+    ids = [f"t{k:03d}" for k in range(400)]
+    save_store(FeatureStore(ids=ids, matrix=rng.random((400, FEATURE_LENGTH))), tmp_path / "s.cmg")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{sid}\ta.1.{k % 3 + 1}.{k % 7 + 1}\n" for k, sid in enumerate(ids)))
+    reports = []
+    for threads, jobs in (("1", "1"), ("2", "1"), ("2", "2")):
+        out = tmp_path / f"t{threads}j{jobs}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "comogphog", "evaluate", str(tmp_path / "s.cmg"), str(out),
+             "--labels", str(labels), "--jobs", jobs],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((proc.stdout, _report(out)))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_evaluate_exact_fallback_keeps_bytes_at_any_jobs(tmp_path, capsys, monkeypatch):
+    # rows from 12 distinct vectors: every distance is tied, so the filter
+    # gives way to exact scoring, which runs in a pool at --jobs 2
+    monkeypatch.setattr(evalstats, "_POOL_MIN_PAIRS", 0)
+    rng = np.random.default_rng(71)
+    matrix = rng.random((12, FEATURE_LENGTH))[rng.integers(0, 12, size=60)]
+    ids = [f"d{k:02d}" for k in range(60)]
+    save_store(FeatureStore(ids=ids, matrix=matrix), tmp_path / "s.cmg")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{sid}\tb.1.1.{k % 2 + 1}\n" for k, sid in enumerate(ids)))
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        code, stdout, _ = run(capsys, "evaluate", tmp_path / "s.cmg", out, "--labels", labels,
+                              "--jobs", jobs)
+        assert code == 0
+        reports.append((stdout, _report(out)))
+    assert reports[0] == reports[1]

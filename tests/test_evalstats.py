@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -445,7 +446,7 @@ def test_score_pairs_jobs_identical_across_chunks(monkeypatch):
     assert_same_pairs(serial, parallel)
 
 
-class CountingPool(evalstats.ProcessPoolExecutor):
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
     started = 0
 
     def __init__(self, *args, **kwargs):
@@ -470,7 +471,8 @@ def threshold_store():
 @pytest.mark.parametrize("offset,pooled", [(-1, 0), (0, 1), (1, 1)])
 def test_score_pairs_pool_threshold_keeps_bytes(threshold_store, monkeypatch, offset, pooled):
     store, labels = threshold_store
-    monkeypatch.setattr(evalstats, "ProcessPoolExecutor", CountingPool)
+    # score_pairs imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(CountingPool, "started", 0)
     sample = evalstats._POOL_MIN_PAIRS + offset
     serial = score_pairs(store, labels, sample=sample, seed=4)
@@ -875,3 +877,186 @@ def test_score_pairs_memory_bound():
         tracemalloc.stop()
     assert len(pairs) == pair_count(n)
     assert peak <= 32 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+# --- the Gram filter of evaluate's store path ---
+
+
+def _lattice(rng, rows):
+    """Rows on a 2**-10 grid in [0, 1): their differences, squares and sums are exact."""
+    return rng.integers(0, 1024, size=(rows, FEATURE_LENGTH)) / 1024.0
+
+
+def _extremes(rng, tied):
+    """Rows whose pairs hold the minimum (2**-3) and the maximum (about 452),
+    far from every other distance, each held by two pairs when ``tied``."""
+    half = FEATURE_LENGTH // 2
+    side = np.zeros(FEATURE_LENGTH)
+    side[:half] = 10.0
+    near = _lattice(rng, 2)
+    far = _lattice(rng, 2)
+    rows = [near[0], near[0].copy(), far[0] - side, far[1] + side]
+    rows[1][5] += 0.125
+    if tied:
+        rows.append(near[1])
+        rows.append(near[1].copy())
+        rows[-1][9] -= 0.125
+        # the same differences as the maximum pair, moved to the other half
+        rows.append(np.roll(rows[2], half))
+        rows.append(np.roll(rows[3], half))
+    return np.array(rows)
+
+
+def _near(a, b, target):
+    """Row b moved along b - a until score(a, b) is ``target`` to about one ulp."""
+    lam = 1.0
+    for _ in range(4):
+        moved = a + lam * (b - a)
+        lam *= target / score(a, moved)
+    return a + lam * (b - a)
+
+
+def _straddling_store(rng, bins):
+    """Random rows, the extremes, and pairs within 1e-13 (or an ulp or two)
+    of the bin edges and the centers of the report's grid."""
+    ext = _extremes(rng, tied=False)
+    lo = score(ext[0], ext[1])
+    width = (score(ext[2], ext[3]) - lo) / bins
+    targets = [lo + k * width for k in range(1, bins)]
+    targets += [lo + (k + 0.5) * width for k in range(bins)]
+    targets = [t for t in targets if 4.0 <= t <= 150.0]
+    bulk = rng.random((2 * len(targets) + 40, FEATURE_LENGTH))
+    for k, t in enumerate(targets):
+        # one pair per target, so that no two of them overlap
+        want = t * (1.0 + (0.0, 1e-13, -1e-13)[k % 3])
+        bulk[2 * k + 1] = _near(bulk[2 * k], bulk[2 * k + 1], want)
+        assert abs(score(bulk[2 * k], bulk[2 * k + 1]) / want - 1.0) < 1e-14
+    return np.concatenate([ext, bulk])
+
+
+def filter_cases(bins):
+    """(name, matrix, whether the filter takes it) for the filter's report tests."""
+    rng = np.random.default_rng(60)
+    yield "random", rng.random((150, FEATURE_LENGTH)), True
+    rows = rng.random((150, FEATURE_LENGTH))
+    rows[9::10] = rows[0::10]
+    yield "every tenth a duplicate", rows, True
+    yield "duplicates of 20 rows", rng.random((20, FEATURE_LENGTH))[rng.integers(0, 20, 150)], False
+    yield "1/64 lattice", rng.integers(0, 3, size=(150, FEATURE_LENGTH)) / 64.0, False
+    ulp = np.repeat(rng.random((1, FEATURE_LENGTH)), 150, axis=0)
+    for r in range(1, 150):
+        c = rng.integers(0, FEATURE_LENGTH, size=r % 7 + 1)
+        ulp[r, c] = np.nextafter(ulp[r, c], np.inf if r % 2 else -np.inf)
+    yield "one ulp apart", ulp, False
+    yield "straddling edges and centers", _straddling_store(rng, bins), True
+    yield "tied minimum and maximum", np.concatenate(
+        [_extremes(rng, tied=True), rng.random((120, FEATURE_LENGTH))]
+    ), True
+    yield "near 1e150", rng.uniform(-1.0, 1.0, size=(150, FEATURE_LENGTH)) * 1e150, True
+    yield "above 1e150", rng.uniform(-1.0, 1.0, size=(150, FEATURE_LENGTH)) * 4e150, False
+    bad = rng.random((150, FEATURE_LENGTH))
+    bad[77, 3] = np.nan
+    yield "a non-finite row", bad, False
+    yield "all distances equal", np.repeat(rng.random((1, FEATURE_LENGTH)), 40, axis=0), False
+
+
+def _filter_store(matrix, sccs, shuffle):
+    ids = [f"f{k:04d}" for k in range(len(matrix))]
+    labels = {sid: parse_scop_label(sid, sccs[k % len(sccs)]) for k, sid in enumerate(ids)}
+    if shuffle:
+        order = np.random.default_rng(61).permutation(len(ids))
+        ids, matrix = [ids[k] for k in order], matrix[order]
+    return FeatureStore(ids=ids, matrix=matrix), labels
+
+
+def _evaluation(out, pairs_of, level, bins, capsys):
+    """Exit code (or error), captured output and report files of one evaluate report."""
+    out.mkdir()
+    try:
+        code = _write_evaluation(pairs_of(), LOWER, bins, level, out)
+    except ValueError as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    return code, capsys.readouterr(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("level,bins", [("family", 200), ("superfamily", 37)])
+@pytest.mark.parametrize("sccs,shuffle", [
+    (["a.1.1.1", "a.1.1.2", "a.1.2.1", "b.1.1.1"], False),
+    (["a.1.1.1", "a.1.1.2", "a.1.2.1", "b.1.1.1"], True),
+    (["a.1.1.1"], False),
+], ids=["sorted", "unsorted ids", "single class"])
+def test_filter_reports_equal_exact_reports(tmp_path, capsys, level, bins, sccs, shuffle):
+    # every report file, the summary and the exit code (or the error) from
+    # the filtered column equal those from score_pairs' exact distances
+    for k, (name, matrix, filtered) in enumerate(filter_cases(bins)):
+        store, labels = _filter_store(matrix, sccs, shuffle)
+        exact = _evaluation(
+            tmp_path / f"exact{k}", lambda: score_pairs(store, labels, level), level, bins, capsys
+        )
+        got = _evaluation(
+            tmp_path / f"filter{k}",
+            lambda: evalstats._report_pairs(store, labels, level, bins),
+            level, bins, capsys,
+        )
+        assert got == exact, name
+        ids, order, i, j, _ = evalstats._pair_table(store, labels, level)
+        rows = np.arange(len(ids)) if order is None else order
+        took = evalstats._filtered_scores(store, rows, i, j, bins) is not None
+        assert took == filtered, name
+        if len(sccs) == 1:
+            assert exact[0] != 0 and "roc.csv" not in exact[2], name
+
+
+def test_filter_error_names_the_non_finite_pair():
+    matrix = np.random.default_rng(62).random((30, FEATURE_LENGTH))
+    matrix[12, 40] = np.inf
+    store, labels = _filter_store(matrix, ["a.1.1.1", "b.1.1.1"], False)
+    with pytest.raises(ValueError, match="pair f0000,f0012 has a non-finite score inf"):
+        evalstats._report_pairs(store, labels, "family", 200)
+
+
+def test_filter_intervals_hold_the_kernels_distances():
+    # rows centred on their mean (as evaluate does) and on zero, for every
+    # store the filter takes, and a pair of length-1 rows found by search
+    # whose distance lies 98% of the way to the end of its interval, so
+    # that a bound half as wide misses it
+    x = float.fromhex("0x1.00a079b6f6007p+0")
+    worst = np.array([[x], [x + float.fromhex("0x1.10de4984daaf2p-13")]])
+    cases = [(name, m) for name, m, _ in filter_cases(200) if np.isfinite(m).all()]
+    cases = [c for c in cases if np.abs(c[1]).max() <= 1e150] + [("worst case", worst)]
+    for name, matrix in cases:
+        db = FeatureStore(ids=[f"r{k}" for k in range(len(matrix))], matrix=matrix)
+        i, j = evalstats._all_pairs(len(matrix))
+        exact = evalstats._pair_distances(db, i, j)
+        for centre in (matrix.mean(axis=0), np.zeros(matrix.shape[1])):
+            lo, hi = evalstats._pair_intervals(matrix - centre)
+            assert np.all(lo <= exact) and np.all(exact <= hi), name
+    (lo,), (hi,) = evalstats._pair_intervals(worst)
+    assert exact[0] - (lo + hi) / 2 > 0.9 * (hi - lo) / 2
+
+
+def test_all_pairs_are_int32_runs():
+    for n in (2, 3, 17):
+        i, j = evalstats._all_pairs(n)
+        want_i, want_j = pairs_from_indices(np.arange(pair_count(n)), n)
+        assert i.dtype == j.dtype == np.int32
+        assert i.tobytes() == want_i.astype(np.int32).tobytes()
+        assert j.tobytes() == want_j.astype(np.int32).tobytes()
+
+
+def test_score_pairs_all_pairs_memory():
+    # 1000 entries: int32 indices written row by row, with no int64 flat
+    # index or decoded copies.  The PairScores columns are 17 bytes per
+    # pair, and the two label gathers that make the match column 8
+    rng = np.random.default_rng(63)
+    n = 1000
+    store = FeatureStore(ids=[f"m{k:04d}" for k in range(n)], matrix=rng.random((n, 16)))
+    labels = {sid: parse_scop_label(sid, "a.1.1.1") for sid in store.ids()}
+    tracemalloc.start()
+    try:
+        pairs = score_pairs(store, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == pair_count(n)
+    assert peak <= 26 * pair_count(n) + 2**20, f"{peak / pair_count(n):.1f} bytes per pair"
