@@ -55,7 +55,8 @@ def build(rows: int, seed: int, out: Path) -> tuple[Path, Path]:
     labels.write_text(
         "".join(
             f"{sid}\tc.1.{f % SUPERFAMILIES + 1}.{f + 1}\n" for sid, f in zip(ids, family.tolist())
-        )
+        ),
+        encoding="utf-8",
     )
     return store, labels
 
@@ -77,7 +78,7 @@ def run_path(path: str, store: str, labels: str, out: str) -> dict:
     evalstats._pair_distances = counted
     start = time.perf_counter()
     db = load_store(store)
-    table = read_label_table(Path(labels).read_text())
+    table = read_label_table(Path(labels).read_text(encoding="utf-8"))
     bins = evalstats.DEFAULT_EVAL_BINS
     if path == "filter":
         pairs = evalstats._report_pairs(db, table, "family", bins)

@@ -58,7 +58,7 @@ _FEATURE_KEYS = {
 
 def _load_config(path: str | None) -> tuple[FeatureConfig, int]:
     """Pipeline geometry and evaluation grid size from a JSON file, else the defaults."""
-    raw = json.loads(Path(path).read_text()) if path else {}
+    raw = json.loads(_read_text(path)) if path else {}
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     unknown = set(raw) - set(_FEATURE_KEYS) - {"eval_bins"}
@@ -71,6 +71,11 @@ def _load_config(path: str | None) -> tuple[FeatureConfig, int]:
     if not isinstance(eval_bins, int) or eval_bins < 2:
         raise ValueError(f"eval_bins must be >= 2, got {eval_bins}")
     return features, eval_bins
+
+
+def _read_text(path: str) -> str:
+    """A label table, score file or config: UTF-8, whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _geometry(features: FeatureConfig) -> str:
@@ -90,7 +95,7 @@ def cmd_extract(args) -> int:
     _require_at_least(1, "jobs", args.jobs)
     features, eval_bins = _load_config(args.config)
     _echo_config(features, eval_bins)
-    labels = read_label_table(Path(args.labels).read_text()) if args.labels else None
+    labels = read_label_table(_read_text(args.labels)) if args.labels else None
     # checked before any extraction: save_store writes a temporary file there
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
@@ -165,7 +170,7 @@ def cmd_evaluate(args) -> int:
     if args.eval_bins is not None:
         eval_bins = args.eval_bins
     _echo_config(features if store is None else store.config, eval_bins)
-    labels = read_label_table(Path(args.labels).read_text())
+    labels = read_label_table(_read_text(args.labels))
 
     if store is not None:
         polarity = Polarity.LOWER_IS_SIMILAR
@@ -176,19 +181,14 @@ def cmd_evaluate(args) -> int:
             )
         else:
             pairs = evalstats.score_pairs(
-                store,
-                labels,
-                level=args.level,
-                sample=args.sample,
-                seed=args.seed,
-                jobs=args.jobs,
+                store, labels, level=args.level, sample=args.sample, seed=args.seed, jobs=args.jobs
             )
         del store  # drop the rows before the curves are built
     else:
         if not args.polarity:
             raise UsageError("--polarity {lower,higher} is required for external score files")
         polarity = Polarity(args.polarity)
-        pairs = evalstats.read_score_file(Path(args.input).read_text(), labels, level=args.level)
+        pairs = evalstats.read_score_file(_read_text(args.input), labels, level=args.level)
         if not pairs:
             raise UsageError(f"{args.input}: no scored pairs")
 

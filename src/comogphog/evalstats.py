@@ -30,8 +30,8 @@ Every result is columns.  Scored pairs are one :class:`PairScores` record
 bytes per pair), which every curve function takes.  The curves come back
 as tuples of arrays: :func:`pvalue_curve` gives bin centers, probability
 and count, :func:`mcc_curve` thresholds, MCC and the tp/fp tallies behind
-each point, and :func:`roc_curve` the fpr and tpr columns that
-:func:`auc` and :func:`write_curve_csv` take.
+each point, and :func:`roc_curve` fpr and tpr at each distinct score;
+both sweeps count in the sorted scores and the sorted match scores.
 """
 
 from __future__ import annotations
@@ -128,10 +128,22 @@ def _mcc_column(tp, fp, n, m) -> np.ndarray:
     return np.divide(num, np.sqrt(product), out=np.zeros_like(product), where=product > 0)
 
 
+def _similar_counts(ranked, ranked_match, polarity: Polarity, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(npos, tp)`` at each threshold of ``t``: how many of the sorted scores
+    ``ranked``, and of the sorted match scores ``ranked_match``, lie on the
+    similar side of it (<= t for LOWER_IS_SIMILAR, >= t for HIGHER_IS_SIMILAR)."""
+    if polarity is Polarity.LOWER_IS_SIMILAR:
+        return ranked.searchsorted(t, "right"), ranked_match.searchsorted(t, "right")
+    npos, tp = ranked.searchsorted(t, "left"), ranked_match.searchsorted(t, "left")
+    np.subtract(len(ranked), npos, out=npos)
+    np.subtract(len(ranked_match), tp, out=tp)
+    return npos, tp
+
+
 def mcc_curve(
     pairs: PairScores, polarity: Polarity, thresholds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """MCC swept over thresholds, via one sort and cumulative tallies.
+    """MCC swept over thresholds, counted in the sorted score columns.
 
     Returns four columns: the thresholds (float64), the MCC at each, and
     the true- and false-positive counts (int64) it was computed from.  With
@@ -143,20 +155,10 @@ def mcc_curve(
     if not len(pairs):
         raise ValueError("no pairs to sweep")
     t = np.asarray(thresholds, dtype=np.float64)
-    order = np.argsort(pairs.score, kind="stable")
-    s = pairs.score[order]
-    # cum_m[k]: matches among the k lowest scores
-    cum_m = np.concatenate(([0], np.cumsum(pairs.match[order], dtype=np.int64)))
-    n, m_total = len(s), int(cum_m[-1])
-    if polarity is Polarity.LOWER_IS_SIMILAR:
-        npos = np.searchsorted(s, t, side="right")
-        tp = cum_m[npos]
-    else:
-        lo = np.searchsorted(s, t, side="left")
-        npos = n - lo
-        tp = m_total - cum_m[lo]
+    ranked_match = np.sort(pairs.score[pairs.match])
+    npos, tp = _similar_counts(np.sort(pairs.score), ranked_match, polarity, t)
     fp = npos - tp
-    return t, _mcc_column(tp, fp, n, m_total), tp, fp
+    return t, _mcc_column(tp, fp, len(pairs), len(ranked_match)), tp, fp
 
 
 def _grid(lo: float, hi: float, num_bins: int) -> tuple[float, np.ndarray]:
@@ -205,30 +207,32 @@ def pvalue_curve(pairs: PairScores, num_bins: int) -> tuple[np.ndarray, np.ndarr
 def roc_curve(pairs: PairScores, polarity: Polarity) -> tuple[np.ndarray, np.ndarray]:
     """(fpr, tpr) staircase swept over every distinct score, as two float64 columns.
 
-    Starts at exactly (0, 0) and ends at exactly (1, 1); both coordinates
-    are monotone non-decreasing.  Raises :class:`SingleClassError` when all
-    pairs are matches or all are non-matches.
+    From exactly (0, 0), one point per distinct score from the similar end,
+    to exactly (1, 1); both coordinates are monotone non-decreasing.  Raises
+    :class:`SingleClassError` for a single class, and ValueError for a NaN.
     """
     if not len(pairs):
         raise ValueError("no pairs to sweep")
-    scores, match = pairs.score, pairs.match
-    n_match = int(match.sum())
-    n_non = len(pairs) - n_match
+    ranked_match = np.sort(pairs.score[pairs.match])
+    n_match, n_non = len(ranked_match), len(pairs) - len(ranked_match)
     if n_match == 0 or n_non == 0:
         raise SingleClassError("need at least one match and one non-match")
-    if polarity is Polarity.LOWER_IS_SIMILAR:
-        order = np.argsort(scores, kind="stable")
-    else:
-        order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    m = match[order]
-    # index of the last pair in each group of equal scores; the last group
-    # ends at the last pair, so the curve ends at exactly (1, 1)
-    ends = np.append(np.nonzero(np.diff(s) != 0)[0], len(s) - 1)
-    tp = np.cumsum(m)[ends]
-    fp = ends + 1 - tp
+    ranked = np.sort(pairs.score)
+    if np.isnan(ranked[-1]):  # a NaN sorts last
+        raise ValueError("cannot sweep a NaN score")
+    # the last score of each run of equal scores, read from the similar end
+    last = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+    end = 1 if polarity is Polarity.LOWER_IS_SIMILAR else -1
+    distinct = ranked[::end][last[::end]]
+    fp, tp = _similar_counts(ranked, ranked_match, polarity, distinct)
+    del ranked, ranked_match, last, distinct
+    fp -= tp
+    fpr, tpr = np.zeros(len(fp) + 1), np.zeros(len(fp) + 1)
     # counts are below 2**53, so these are the same quotients as int / int
-    return np.concatenate(([0.0], fp / n_non)), np.concatenate(([0.0], tp / n_match))
+    np.divide(fp, n_non, out=fpr[1:])
+    np.divide(tp, n_match, out=tpr[1:])
+    return fpr, tpr
 
 
 def auc(fpr, tpr) -> float:
@@ -690,15 +694,9 @@ def read_score_file(
         scores.append(s)
     ids = list(index)
     codes = _label_codes([labels[sid] for sid in ids], key)
-    i = np.array(ia, dtype=np.int32)
-    j = np.array(ib, dtype=np.int32)
-    return PairScores(
-        ids=ids,
-        i=i,
-        j=j,
-        score=np.array(scores, dtype=np.float64),
-        match=codes[i] == codes[j],
-    )
+    i, j = np.array(ia, dtype=np.int32), np.array(ib, dtype=np.int32)
+    score = np.array(scores, dtype=np.float64)
+    return PairScores(ids=ids, i=i, j=j, score=score, match=codes[i] == codes[j])
 
 
 def _format_unique(column: np.ndarray, fmt: str) -> np.ndarray:

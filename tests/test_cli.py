@@ -373,8 +373,9 @@ def test_search_refuses_other_geometry(corpus, store_path, tmp_path, capsys):
 
 
 def test_search_v1_store_and_v3_resave_print_the_same(tmp_path, capsys):
-    # the checked-in v1 store holds this trace under the id "hélice"
-    query = tmp_path / "hélice.pdb"
+    # the checked-in v1 store holds this trace under the id "hélice"; the
+    # file name is ASCII, which any filesystem encoding can write
+    query = tmp_path / "helice.pdb"
     query.write_text(ca_trace_to_pdb(helix_trace(40, "hélice", jitter=0.15, seed=11)))
     resaved = tmp_path / "v3.cmg"
     save_store(load_store(STORE_V1), resaved)
@@ -388,7 +389,7 @@ def test_search_v1_store_and_v3_resave_print_the_same(tmp_path, capsys):
 @pytest.mark.parametrize("k", [10, 2])
 def test_search_v2_store_and_v3_resave_print_the_same(tmp_path, capsys, k):
     # the checked-in v2 store is the v1 store re-saved by the v2 writer
-    query = tmp_path / "hélice.pdb"
+    query = tmp_path / "helice.pdb"
     query.write_text(ca_trace_to_pdb(helix_trace(40, "hélice", jitter=0.15, seed=11)))
     resaved = tmp_path / "v3.cmg"
     save_store(load_store(STORE_V2), resaved)
@@ -1078,3 +1079,40 @@ def test_evaluate_exact_fallback_keeps_bytes_at_any_jobs(tmp_path, capsys, monke
         assert code == 0
         reports.append((stdout, _report(out)))
     assert reports[0] == reports[1]
+
+
+# --- text inputs are UTF-8 whatever the locale ---
+
+
+def test_evaluate_reads_utf8_inputs_under_an_ascii_locale(tmp_path):
+    # a C locale without UTF-8 mode makes ASCII the default text encoding;
+    # label tables and score files are read as UTF-8 all the same
+    rng = np.random.default_rng(73)
+    ids = [f"dé{k}" for k in range(12)]
+    store = tmp_path / "s.cmg"
+    save_store(FeatureStore(ids=ids, matrix=rng.random((12, FEATURE_LENGTH))), store)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text(
+        "".join(f"{sid}\ta.1.1.{k % 3 + 1}\n" for k, sid in enumerate(ids)), encoding="utf-8"
+    )
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "".join(f"{a},{b},{rng.random()!r}\n" for a, b in itertools.combinations(ids, 2)),
+        encoding="utf-8",
+    )
+    locales = {
+        "utf8": {"LC_ALL": "C.UTF-8"},
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+    for name, args in (("store", [store]), ("file", [scores, "--polarity", "higher"])):
+        reports = []
+        for tag, env in locales.items():
+            out = tmp_path / f"{name}-{tag}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "comogphog", "evaluate", str(args[0]), str(out),
+                 "--labels", str(labels), *map(str, args[1:])],
+                capture_output=True, env=dict(os.environ, **env),
+            )
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            reports.append((proc.stdout, proc.stderr, _report(out)))
+        assert reports[0] == reports[1]

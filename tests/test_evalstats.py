@@ -175,17 +175,27 @@ def test_mcc_column_matches_scalar_oracle_at_large_counts(n):
 
 def test_mcc_curve_matches_per_threshold_oracle():
     rng = np.random.default_rng(3)
-    pairs = random_pairs(rng, 20)
-    thresholds = sorted(rng.random(15))
-    for pol in (LOWER, HIGHER):
-        got_t, got_v, tp, fp = mcc_curve(pairs, pol, thresholds)
-        assert got_t.dtype == got_v.dtype == np.float64
-        assert len(got_t) == len(got_v) == len(tp) == len(fp) == len(thresholds)
-        for t, v, t_in, a, b in zip(got_t.tolist(), got_v.tolist(), thresholds, tp, fp):
-            assert t == t_in
-            expected = confusion_at_threshold(pairs, t, pol)
-            assert v == mcc(expected)
-            assert (a, b) == (expected.tp, expected.fp)
+    cases = [(random_pairs(rng, 20), sorted(rng.random(15)))]
+    # ties on a grid, with thresholds at, between and beyond the tied values
+    ends = [-math.inf, math.inf]
+    grid = rng.integers(-4, 5, size=40) / 4.0
+    cases.append((pairs_from(grid, rng.random(40) < 0.4), [k / 8.0 for k in range(-9, 10)] + ends))
+    # -0.0 and 0.0 mixed: one value, whichever its sign bit
+    zeros = rng.choice([-0.0, 0.0, 0.5, -0.5], size=30)
+    cases.append((pairs_from(zeros, rng.random(30) < 0.5), [-0.0, 0.0, -0.5, 0.25, 0.5] + ends))
+    # a constant column
+    cases.append((pairs_from([0.3] * 12, rng.random(12) < 0.5), [0.3, 0.2, 0.4] + ends))
+    for pairs, thresholds in cases:
+        for pol in (LOWER, HIGHER):
+            got_t, got_v, tp, fp = mcc_curve(pairs, pol, thresholds)
+            assert got_t.dtype == got_v.dtype == np.float64
+            assert tp.dtype == fp.dtype == np.int64
+            assert len(got_t) == len(got_v) == len(tp) == len(fp) == len(thresholds)
+            for t, v, t_in, a, b in zip(got_t.tolist(), got_v.tolist(), thresholds, tp, fp):
+                assert t == t_in
+                expected = confusion_at_threshold(pairs, t, pol)
+                assert v == mcc(expected)
+                assert (a, b) == (expected.tp, expected.fp)
 
 
 def test_mcc_curve_separable_reaches_one():
@@ -303,6 +313,13 @@ def test_roc_single_class():
         roc_curve(pairs_from([0.1, 0.2], [1, 1]), LOWER)
     with pytest.raises(SingleClassError):
         roc_curve(pairs_from([0.1, 0.2], [0, 0]), LOWER)
+
+
+@pytest.mark.parametrize("scores", [[0.1, math.nan, 0.2], [math.nan, math.nan, 0.1]])
+def test_roc_refuses_nan_score(scores):
+    for pol in (LOWER, HIGHER):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_curve(pairs_from(scores, [1, 0, 1]), pol)
 
 
 def test_roc_monotone_and_exact_endpoints():
@@ -706,11 +723,20 @@ def reference_roc(pairs, pol):
 
 def test_roc_matches_scalar_reference():
     rng = np.random.default_rng(34)
+    cases = []
     for trial in range(6):
         # scores on a coarse grid, so many are tied
         n = 400
         scores = rng.integers(0, 37, size=n) / 8.0
-        pairs = pairs_from(scores, rng.random(n) < 0.3)
+        cases.append(pairs_from(scores, rng.random(n) < 0.3))
+    # -0.0 and 0.0 mixed, a constant column, and tied infinite scores
+    for scores in (
+        rng.choice([-0.0, 0.0, 0.25, -0.25], size=200),
+        np.full(50, 0.7),
+        rng.choice([-math.inf, math.inf, 1.0], size=60),
+    ):
+        cases.append(pairs_from(scores, np.arange(len(scores)) % 3 == 0))
+    for pairs in cases:
         for pol in (LOWER, HIGHER):
             expected = [(x.hex(), y.hex()) for x, y in reference_roc(pairs, pol)]
             fpr, tpr = roc_curve(pairs, pol)
@@ -808,13 +834,20 @@ def test_roc_auc_and_csv_memory_bound(tmp_path):
         finally:
             tracemalloc.stop()
 
-    (fpr, tpr), roc_peak = traced_peak(lambda: roc_curve(pairs, LOWER))
+    # bytes per pair, the result included: the sorted columns count in
+    # place, and the ROC rates are written once
+    thresholds = pvalue_curve(pairs, 200)[0]
+    for pol in (LOWER, HIGHER):
+        _, mcc_peak = traced_peak(lambda: mcc_curve(pairs, pol, thresholds))
+        (fpr, tpr), roc_peak = traced_peak(lambda: roc_curve(pairs, pol))
+        for name, peak, bound in (("mcc_curve", mcc_peak, 12), ("roc_curve", roc_peak, 44)):
+            assert peak <= bound * n, f"{name} {pol.value}: {peak / n:.1f} B/pair"
     _, auc_peak = traced_peak(lambda: auc(fpr, tpr))
     _, csv_peak = traced_peak(
         lambda: write_curve_csv(tmp_path / "roc.csv", "roc", LOWER, fpr, tpr, 0)
     )
     assert len(fpr) == len(tpr) == n + 1
-    for name, peak in (("roc_curve", roc_peak), ("auc", auc_peak), ("csv", csv_peak)):
+    for name, peak in (("auc", auc_peak), ("csv", csv_peak)):
         assert peak <= 16 * 2**20, f"{name}: peak traced allocation {peak / 2**20:.1f} MB"
 
 
