@@ -559,7 +559,9 @@ def load_store(path) -> FeatureStore:
 def extract_file(path, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
     """Parse one structure file and return its descriptor, with the file stem as id."""
     path = Path(path)
-    trace = parse_structure(path.read_text(errors="replace"), structure_id=path.stem)
+    trace = parse_structure(
+        path.read_text(encoding="utf-8", errors="replace"), structure_id=path.stem
+    )
     return extract_features(trace, config)
 
 

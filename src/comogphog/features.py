@@ -236,7 +236,8 @@ def extract_features(trace: CaTrace, config: FeatureConfig = FeatureConfig()) ->
     img = normalize_size(gray, config.image_size)
     # A distance-matrix image is symmetric, and resampling with one weight
     # matrix shared by rows and columns keeps it so in exact arithmetic;
-    # restore the symmetry the floating-point matmul loses.  Diagonal
+    # restore the symmetry the floating-point matmul loses (normalize_size
+    # mirrors its off-diagonal tiles, but not within a tile).  Diagonal
     # pixels then keep gx == gy exactly, so their 45/225-degree
     # orientations quantize identically for rigidly moved copies of the
     # same structure.

@@ -6,7 +6,10 @@ upsampled straight to the working size with cubic convolution, large ones
 are first taken to the next power of two and then halved with the Haar
 low-low filter until they land on the target.  The resampling runs tile by
 tile over the non-zero bands of the cubic weights, so neither the
-upsampled image nor a dense weight matrix is ever built.
+upsampled image nor a dense weight matrix is ever built.  A distance image
+is symmetric, so when an image's bits equal its transpose's, only the
+tiles on and above the diagonal are computed and the others are their
+mirror images.
 """
 
 from __future__ import annotations
@@ -87,6 +90,26 @@ def haar_downsample(img: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_symmetric(img: np.ndarray) -> bool:
+    """True when every bit of ``img`` equals the bit of its transpose.
+
+    Compares bits, not values, so the mirror is taken only when the image
+    and its transpose are the same array: a -0.0 opposite a 0.0 answers
+    False, and a NaN matches only a NaN of the same bits.  Works in blocks
+    of ``_BLOCK_ROWS`` pixels, which read the transposed side about four
+    times faster than one whole-matrix comparison, and stops at the first
+    block that differs.
+    """
+    bits = img.view(np.uint64)
+    n = img.shape[0]
+    b = _BLOCK_ROWS
+    for r in range(0, n, b):
+        for c in range(r, n, b):
+            if not np.array_equal(bits[r : r + b, c : c + b], bits[c : c + b, r : r + b].T):
+                return False
+    return True
+
+
 def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     """Bring a square image to size x size.
 
@@ -103,6 +126,15 @@ def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     tile is clamped and Haar-halved on its own, so the result equals
     ``haar^k(bicubic_resize(img, p, p))`` up to the order in which BLAS
     sums each product; for p <= 256 there is one tile and the same bytes.
+
+    With more than one band (p >= 512), an image whose bits equal its
+    transpose's, checked block by block (:func:`_is_symmetric`), has only
+    the tiles (i, j) with j >= i computed: row band i multiplies only the
+    source columns from its own support onward, and each off-diagonal
+    tile's transpose is written into slot (j, i).  In exact arithmetic
+    that slot holds the same values; in floating point the output is
+    symmetric outside the diagonal tiles, and its low bits can differ from
+    computing every tile, as any other image still does.
     Peak memory beyond the input is about (2 * b * n + b * b) * 8 bytes.
     """
     img = np.asarray(img, dtype=np.float64)
@@ -125,16 +157,24 @@ def normalize_size(img: np.ndarray, size: int = WORKING_SIZE) -> np.ndarray:
     g = b // f  # output pixels per band
     # the image is square, so rows and columns share one set of bands
     bands = [_weight_band(n, p, lo, lo + b) for lo in range(0, p, b)]
+    mirror = len(bands) > 1 and _is_symmetric(img)
     out = np.empty((size, size))
-    half = np.empty((b, n))
+    buf = np.empty(b * n)
     for i, (r0, r1, wr) in enumerate(bands):
-        np.matmul(wr, img[r0:r1], out=half)
-        for j, (c0, c1, wc) in enumerate(bands):
-            tile = half[:, c0:c1] @ wc.T
+        # mirrored, row band i needs only the columns of tiles j >= i, and
+        # band i's support starts where theirs do or before
+        lo = r0 if mirror else 0
+        half = buf[: b * (n - lo)].reshape(b, n - lo)
+        np.matmul(wr, img[r0:r1, lo:], out=half)
+        for j in range(i if mirror else 0, len(bands)):
+            c0, c1, wc = bands[j]
+            tile = half[:, c0 - lo : c1 - lo] @ wc.T
             np.clip(tile, 0.0, 1.0, out=tile)
             while tile.shape[0] > g:
                 tile = haar_downsample(tile)
             out[i * g : (i + 1) * g, j * g : (j + 1) * g] = tile
+            if mirror and j != i:
+                out[j * g : (j + 1) * g, i * g : (i + 1) * g] = tile.T
     return out
 
 
@@ -165,7 +205,11 @@ def gradient_field(img: np.ndarray) -> GradientField:
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     magnitude = np.hypot(gx, gy)
-    orientation = np.degrees(np.arctan2(gy, gx)) % 360.0
-    # floating-point wrap guard: values like 360 - 1e-14 can round to 360.0
+    orientation = np.degrees(np.arctan2(gy, gx))
+    # atan2 lies in [-180, 180], where % 360 only adds 360 to a negative
+    # angle and turns -0.0 into 0.0; these two steps give the same bits
+    np.add(orientation, 360.0, out=orientation, where=orientation < 0.0)
+    orientation += 0.0
+    # floating-point wrap guard: values like -1e-14 + 360 round to 360.0
     orientation[orientation >= 360.0] = 0.0
     return GradientField(magnitude=magnitude, orientation=orientation)

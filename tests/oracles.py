@@ -65,6 +65,11 @@ def normalize_size_tiled(img, size=128, block=256):
     the dense loop matrix are non-zero; tile (i, j) is
     ``(w_i @ img[band i]) @ w_j.T`` over those columns, clamped and halved
     to (b / f) x (b / f) pixels, f = p / size.
+
+    With more than one band and an image whose bits equal its transpose's,
+    only the tiles j >= i are computed: row band i multiplies the source
+    columns from its own support onward, and tile (j, i) is the transpose
+    of tile (i, j).
     """
     n = img.shape[0]
     p = max(size, 1 << (n - 1).bit_length())
@@ -76,16 +81,37 @@ def normalize_size_tiled(img, size=128, block=256):
         support = np.flatnonzero(w[lo : lo + b].any(axis=0))
         c0, c1 = support[0], support[-1] + 1
         bands.append((c0, c1, np.ascontiguousarray(w[lo : lo + b, c0:c1])))
+    mirror = len(bands) > 1 and np.array_equal(img.view(np.uint64), img.T.view(np.uint64))
     g = b // f
     out = np.empty((size, size))
     for i, (r0, r1, wr) in enumerate(bands):
-        half = wr @ img[r0:r1]
+        lo = r0 if mirror else 0
+        half = wr @ img[r0:r1, lo:]
         for j, (c0, c1, wc) in enumerate(bands):
-            tile = np.clip(half[:, c0:c1] @ wc.T, 0.0, 1.0)
+            if mirror and j < i:
+                continue
+            tile = np.clip(half[:, c0 - lo : c1 - lo] @ wc.T, 0.0, 1.0)
             while tile.shape[0] > g:
                 tile = haar_expression(tile)
             out[i * g : (i + 1) * g, j * g : (j + 1) * g] = tile
+            if mirror and j > i:
+                out[j * g : (j + 1) * g, i * g : (i + 1) * g] = tile.T
     return out
+
+
+def orientation_by_mod(img):
+    """Gradient orientation in degrees, mapped into [0, 360) by ``% 360``.
+
+    Central differences with replicated borders, as in ``gradient_field``,
+    which maps a negative angle by adding 360 instead; an angle that
+    rounds up to 360 becomes 0.
+    """
+    padded = np.pad(img, 1, mode="edge")
+    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    orientation = np.degrees(np.arctan2(gy, gx)) % 360.0
+    orientation[orientation >= 360.0] = 0.0
+    return orientation
 
 
 def phog_by_cell(field, bins, levels, length):

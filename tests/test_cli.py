@@ -1116,3 +1116,22 @@ def test_evaluate_reads_utf8_inputs_under_an_ascii_locale(tmp_path):
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             reports.append((proc.stdout, proc.stderr, _report(out)))
         assert reports[0] == reports[1]
+
+
+def test_structure_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # a residue name with one non-ASCII letter: read in ASCII it becomes
+    # two replacement characters and shifts the coordinate columns
+    clean = tmp_path / "clean.pdb"
+    clean.write_text(ca_trace_to_pdb(random_walk_trace(40, "w", seed=41)), encoding="utf-8")
+    lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[5].startswith("ATOM      6  CA  GLY")
+    lines[5] = lines[5].replace("GLY", "GéY")
+    odd = tmp_path / "odd.pdb"
+    odd.write_text("".join(lines), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "comogphog", "score", str(clean), str(odd)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == b"d= 0.000000000\n"

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from comogphog.distmat import distance_matrix, to_gray
-from comogphog.structure_io import CaTrace
-from comogphog.synthetic import random_rotation, random_walk_trace, transform
+from comogphog.structure_io import CaTrace, parse_structure
+from comogphog.synthetic import ca_trace_to_pdb, random_rotation, random_walk_trace, transform
 
 
 def test_345_triangle():
@@ -23,6 +23,40 @@ def test_symmetry_and_zero_diagonal():
     assert np.array_equal(d, d.T)
     assert np.array_equal(np.diag(d), np.zeros(25))
     assert (d >= 0).all() and np.isfinite(d).all()
+
+
+def _two_chain_trace():
+    # chain B is a second walk 60 A away, read back from one PDB text
+    a = random_walk_trace(300, seed=31)
+    b = transform(random_walk_trace(200, seed=32), translation=[60.0, -20.0, 5.0])
+    text = ca_trace_to_pdb(a).replace("END\n", "")
+    text += ca_trace_to_pdb(b).replace(" CA  GLY A", " CA  GLY B")
+    trace = parse_structure(text, structure_id="ab")
+    assert len(trace) == 500
+    return trace
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: transform(
+            random_walk_trace(400, seed=33),
+            rotation=random_rotation(np.random.default_rng(33)),
+            translation=[12.5, -7.25, 3.0],
+        ),
+        _two_chain_trace,
+        # coordinates near the 8-character PDB field's limit
+        lambda: transform(random_walk_trace(300, seed=34), translation=[9000.0, -9000.0, 8000.0]),
+    ],
+    ids=["rotated", "two chains", "large coordinates"],
+)
+def test_distance_and_gray_images_equal_their_transpose_bits(make):
+    # normalize_size mirrors the off-diagonal tiles of an image whose bits
+    # equal its transpose's, so these images must be symmetric bit for bit
+    d = distance_matrix(make())
+    gray = to_gray(d)
+    for img in (d, gray):
+        assert img.tobytes() == img.T.tobytes()
 
 
 def test_matches_double_loop_oracle():

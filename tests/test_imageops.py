@@ -21,6 +21,7 @@ from oracles import (
     bicubic_resize,
     haar_expression,
     normalize_size_tiled,
+    orientation_by_mod,
     resample_weights_loop,
 )
 
@@ -253,18 +254,41 @@ def random_symmetric_image(n):
     return (a + a.T) / 2.0
 
 
+def random_image(n):
+    return np.random.default_rng(n).random((n, n))
+
+
+def walk_image_but_one(n):
+    # one ulp off in the last block the symmetry check reads
+    img = walk_image(n)
+    img[n - 1, n - 2] = np.nextafter(img[n - 1, n - 2], 0.0)
+    return img
+
+
+_SIZES = (
+    [(128, n) for n in (129, 200, 257, 262, 600, 1000, 1300, 2180)]
+    + [(64, 3), (64, 50), (64, 100), (64, 262), (128, 2), (128, 90), (128, 127)]
+    + [(256, 37), (256, 255), (256, 300), (256, 600)]
+)
+_CASES = [
+    (make, size, n)
+    for make in (walk_image, random_symmetric_image, random_image)
+    for size, n in _SIZES
+] + [(walk_image_but_one, 128, 2180)]
+
+
 # At 128 pixels, lengths on both sides of 256 and 2048, and 262; then
 # other image sizes, with inputs below and above.  Up to p = 256 upsampled
 # pixels there is one tile, so the output has the dense path's bytes.
-# Above it the tiles sum each product over fewer source samples, which may
-# change low bits, so the bytes are pinned by the tile-wise oracle and the
-# dense path bounds the difference.
-@pytest.mark.parametrize("make", [walk_image, random_symmetric_image])
+# Above it the tiles sum each product over fewer source samples, and a
+# symmetric image has its off-diagonal tiles mirrored, which may change
+# low bits, so the bytes are pinned by the tile-wise oracle and the dense
+# path bounds the difference.  Non-symmetric images, the walk with one
+# entry changed among them, take the unmirrored path.
 @pytest.mark.parametrize(
-    "size,n",
-    [(128, n) for n in (129, 200, 257, 262, 600, 1000, 1300, 2180)]
-    + [(64, 3), (64, 50), (64, 100), (64, 262), (128, 2), (128, 90), (128, 127)]
-    + [(256, 37), (256, 255), (256, 300), (256, 600)],
+    "make,size,n",
+    _CASES,
+    ids=[f"{size}-{n}-{make.__name__}" for make, size, n in _CASES],
 )
 def test_normalize_size_equals_dense_upsample_then_haar_bytes(make, size, n):
     img = make(n)
@@ -276,6 +300,19 @@ def test_normalize_size_equals_dense_upsample_then_haar_bytes(make, size, n):
     else:
         assert got.tobytes() == normalize_size_tiled(img, size).tobytes()
         assert np.abs(got - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("make", [walk_image, random_symmetric_image])
+@pytest.mark.parametrize("size,n", [(128, 257), (128, 600), (128, 2180), (64, 262), (256, 300)])
+def test_normalize_size_mirrors_off_diagonal_tiles_of_a_symmetric_image(make, size, n):
+    out = normalize_size(make(n), size)
+    p = 1 << (n - 1).bit_length()
+    f = p // size
+    g = min(max(_BLOCK_ROWS, f), p) // f  # output pixels per tile
+    assert g < size
+    for r in range(0, size, g):
+        for c in range(r + g, size, g):
+            assert out[r : r + g, c : c + g].tobytes() == out[c : c + g, r : r + g].T.tobytes()
 
 
 def test_normalize_size_peak_memory_2180():
@@ -293,6 +330,23 @@ def test_normalize_size_peak_memory_2180():
     # one row band times the image (b, n); one (b, b) tile with its Haar
     # halvings, less than two tiles; the output.  About 10 MB here, where
     # one (p, n) array alone is 71 MB.
+    b = _BLOCK_ROWS
+    bands = p * (b * n // p + 4)
+    assert peak <= (bands + b * n + 2 * b * b + size * size) * 8
+
+
+def test_normalize_size_peak_memory_2180_non_symmetric():
+    # the unmirrored path, with the bound of the symmetric case above
+    n, p, size = 2180, 4096, 128
+    img = random_image(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = normalize_size(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (size, size)
     b = _BLOCK_ROWS
     bands = p * (b * n // p + 4)
     assert peak <= (bands + b * n + 2 * b * b + size * size) * 8
@@ -335,6 +389,25 @@ def test_gradient_orientation_range():
         f = gradient_field(rng.random((12, 12)))
         assert (f.orientation >= 0.0).all()
         assert (f.orientation < 360.0).all()
+
+
+def test_gradient_orientation_equals_the_mod_360_expression_bytes():
+    # random images, and images drawn from values that give gradients of
+    # +-0, subnormals, +-inf and NaN (inf - inf)
+    rng = np.random.default_rng(31)
+    pool = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, 0.5, 1.0, -1.0,
+         1.7e308, -1.7e308, np.inf, -np.inf]
+    )
+    images = [rng.random((128, 128)), 1.0 - rng.random((128, 128))]
+    images += [pool[rng.integers(0, pool.size, size=(256, 256))] for _ in range(4)]
+    mixed = rng.standard_normal((256, 256))
+    mixed[rng.random((256, 256)) < 0.3] = 0.0
+    images.append(mixed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for img in images:
+            got = gradient_field(img).orientation
+            assert got.tobytes() == orientation_by_mod(img).tobytes()
 
 
 def test_gradient_inversion_flips_orientation():
